@@ -114,7 +114,7 @@ impl GroupAttention {
 
     /// Group count that the next forward pass will use for `n` windows.
     pub fn effective_groups(&self, n_windows: usize) -> usize {
-        (self.n_groups.round() as usize).clamp(self.config.min_groups.min(n_windows), n_windows)
+        effective_group_count(self.n_groups, self.config.min_groups, n_windows)
     }
 
     /// Current (real-valued) scheduler group count.
@@ -125,13 +125,6 @@ impl GroupAttention {
     /// Overrides the scheduler state (used by the fixed-N ablation harness).
     pub fn set_groups(&mut self, n: usize) {
         self.n_groups = n as f32;
-    }
-
-    /// Runs the k-means grouping for every `(batch, head)` pair through the shared
-    /// grouping entry point ([`crate::group::group_key_blocks`]), which the tape-free
-    /// inference engine also uses — identical clusterings by construction.
-    fn group_all(&self, keys: &NdArray, n_groups: usize) -> Vec<Grouping> {
-        group_key_blocks(keys, n_groups, self.config.kmeans_iters)
     }
 
     /// Runs the adaptive scheduler (§5.1) after a forward pass.
@@ -160,6 +153,47 @@ impl GroupAttention {
     }
 }
 
+/// The group count a forward uses on `n_windows` windows: the scheduler's real-valued
+/// `target` rounded, then clamped to `[min(min_groups, n_windows), n_windows]`.
+pub fn effective_group_count(target: f32, min_groups: usize, n_windows: usize) -> usize {
+    (target.round() as usize).clamp(min_groups.min(n_windows), n_windows)
+}
+
+/// Per-group member counts (block-major over batch × heads), then the representative
+/// keys R (per-group means of K) and aggregated values Ṽ (per-group sums of V), both
+/// `(batch, heads, N, dh)`, as one segment sum each — `O(n·dh)` per `(batch, head)`
+/// with no `(N, n)` intermediate.
+fn segment_constants(k: &Var, v: &Var, groupings: &[Grouping], n: usize) -> (Vec<f32>, Var, Var) {
+    let shape = k.shape();
+    let counts: Vec<f32> =
+        groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
+    let inv_counts = NdArray::from_vec(
+        counts.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
+        &[shape[0], shape[1], n, 1],
+    )
+    .expect("inverse counts batch");
+    // Flat group assignments, block-major over batch×heads — the layout `segment_sum`
+    // consumes. One shared allocation feeds both segment sums (and their backward
+    // closures) instead of two copies.
+    let segments: std::sync::Arc<[usize]> =
+        groupings.iter().flat_map(|g| g.assignments.iter().copied()).collect::<Vec<_>>().into();
+    let representatives = k.segment_sum(segments.clone(), n).mul(&Var::constant(inv_counts));
+    (counts, representatives, v.segment_sum(segments, n))
+}
+
+/// Group attention over a fixed grouping of the keys through the fused streaming
+/// kernel — the op behind both [`GroupAttention`]'s default path and the graph's group
+/// attention node. The `count_k` weights are folded into the kernel's online-softmax
+/// denominator (the group softmax, Eq. 3), so the `(b, h, n, N)` score matrix is never
+/// materialised and the backward recomputes per-tile scores.
+pub fn attend(q: &Var, k: &Var, v: &Var, groupings: &[Grouping], n_groups: usize) -> Var {
+    let shape = q.shape();
+    let (counts, representatives, aggregated) = segment_constants(k, v, groupings, n_groups);
+    let weights = NdArray::from_vec(counts, &[shape[0], shape[1], n_groups]).expect("counts");
+    let scale = 1.0 / (shape[3] as f32).sqrt();
+    q.fused_group_attention(&representatives, &aggregated, scale, weights)
+}
+
 impl Attention for GroupAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let shape = q.shape();
@@ -167,76 +201,46 @@ impl Attention for GroupAttention {
         let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
         let n_groups = self.effective_groups(n);
 
-        // 1. Group the (detached) keys; grouping is a discrete decision, so no gradient
-        //    flows through the cluster assignment itself — but the representative keys
-        //    are centroids (per-group means of K), so gradients still reach K.
+        // 1. Group the (detached) keys through the grouping entry point the tape-free
+        //    inference engine also uses; grouping is a discrete decision, so no
+        //    gradient flows through the cluster assignment itself — but the
+        //    representative keys are centroids (per-group means of K), so gradients
+        //    still reach K.
         let keys_detached = k.to_array();
-        let groupings = self.group_all(&keys_detached, n_groups);
+        let groupings = group_key_blocks(&keys_detached, n_groups, self.config.kmeans_iters);
 
-        // Per-group member counts (block-major over batch×heads).
-        let mut counts_flat = Vec::with_capacity(b * h * n_groups);
-        for g in &groupings {
-            counts_flat.extend(g.counts.iter().map(|&c| c as f32));
-        }
-
-        // 2. Representative keys R = S · K and aggregated values Ṽ = M · V, both
-        //    (batch, heads, N, dh). The default sparse pipeline realises them as one
-        //    segment sum per tensor — O(n·dh) per (batch, head) with no intermediate —
-        //    while the dense oracle materialises the one-hot (N, n) matrices and pays
-        //    the O(N·n·dh) products the paper's matrix formulation describes.
-        let (representatives, aggregated_values) = if self.config.dense_matrices {
-            let mut avg = Vec::with_capacity(b * h * n_groups * n);
-            let mut sum = Vec::with_capacity(b * h * n_groups * n);
-            for g in &groupings {
-                avg.extend_from_slice(g.averaging_matrix().as_slice());
-                sum.extend_from_slice(g.sum_matrix().as_slice());
-            }
-            let avg = NdArray::from_vec(avg, &[b, h, n_groups, n]).expect("avg matrix batch");
-            let sum = NdArray::from_vec(sum, &[b, h, n_groups, n]).expect("sum matrix batch");
-            (Var::constant(avg).matmul(k), Var::constant(sum).matmul(v))
+        // 2–5. The default is the shared fused sparse path ([`attend`]). The oracles
+        //    build R and Ṽ sparsely or — with `dense_matrices` — from the one-hot
+        //    `(N, n)` matrices the paper's formulation describes (paying the
+        //    `O(N·n·dh)` products), then run the explicit score → group softmax (Eq. 3)
+        //    → `·Ṽ` chain, computed stably by subtracting the detached row max: the
+        //    shift cancels between numerator and denominator, so the result (and its
+        //    gradient) is exactly the unshifted group softmax.
+        let output = if !self.config.dense_matrices && !self.config.unfused {
+            attend(q, k, v, &groupings, n_groups)
         } else {
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, h, n_groups, 1],
-            )
-            .expect("inverse counts batch");
-            // Flat group assignments, block-major over batch×heads — the layout
-            // `segment_sum` consumes. One shared allocation feeds both segment sums
-            // (and their backward closures) instead of two copies.
-            let mut segments = Vec::with_capacity(b * h * n);
-            for g in &groupings {
-                segments.extend_from_slice(&g.assignments);
-            }
-            let segments: std::sync::Arc<[usize]> = segments.into();
-            let representatives =
-                k.segment_sum(segments.clone(), n_groups).mul(&Var::constant(inv_counts));
-            (representatives, v.segment_sum(segments, n_groups))
-        };
-
-        // 3–5. Score matrix P̃ = Q · Rᵀ / √d_k, group softmax (Eq. 3), and the final
-        //    embedding-aggregation product O = Ã · Ṽ. The default is the fused
-        //    streaming kernel: the `count_k` weights are folded into its online-softmax
-        //    denominator, so the `(b, h, n, N)` score matrix is never materialised and
-        //    the backward recomputes per-tile scores. The oracle paths keep the explicit
-        //    chain, computed stably by subtracting the detached row max — the shift
-        //    cancels between numerator and denominator, so the result (and its gradient)
-        //    is exactly the unshifted group softmax.
-        let scale = 1.0 / (dh as f32).sqrt();
-        let output = if self.config.dense_matrices || self.config.unfused {
-            let counts =
-                NdArray::from_vec(counts_flat, &[b, h, 1, n_groups]).expect("counts batch");
+            let (counts, representatives, aggregated) = if self.config.dense_matrices {
+                let mut avg = Vec::with_capacity(b * h * n_groups * n);
+                let mut sum = Vec::with_capacity(b * h * n_groups * n);
+                for g in &groupings {
+                    avg.extend_from_slice(g.averaging_matrix().as_slice());
+                    sum.extend_from_slice(g.sum_matrix().as_slice());
+                }
+                let avg = NdArray::from_vec(avg, &[b, h, n_groups, n]).expect("avg matrices");
+                let sum = NdArray::from_vec(sum, &[b, h, n_groups, n]).expect("sum matrices");
+                let counts = groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32));
+                (counts.collect(), Var::constant(avg).matmul(k), Var::constant(sum).matmul(v))
+            } else {
+                segment_constants(k, v, &groupings, n_groups)
+            };
+            let counts = NdArray::from_vec(counts, &[b, h, 1, n_groups]).expect("counts batch");
             // The 1/√d is folded into the score product (one kernel pass, no scaled
             // temporary).
-            let scores = q.matmul_nt_scaled(&representatives, scale);
+            let scores = q.matmul_nt_scaled(&representatives, 1.0 / (dh as f32).sqrt());
             let row_max = scores.to_array().max_axis(3, true).expect("row max");
-            let shifted = scores.sub(&Var::constant(row_max));
-            let exp = shifted.exp();
+            let exp = scores.sub(&Var::constant(row_max)).exp();
             let denom = exp.mul(&Var::constant(counts)).sum_axis(3);
-            let attention = exp.div(&denom);
-            attention.matmul(&aggregated_values)
-        } else {
-            let weights = NdArray::from_vec(counts_flat, &[b, h, n_groups]).expect("counts batch");
-            q.fused_group_attention(&representatives, &aggregated_values, scale, weights)
+            exp.div(&denom).matmul(&aggregated)
         };
 
         // 6. Adaptive scheduling for the next iteration.

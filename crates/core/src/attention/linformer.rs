@@ -47,6 +47,21 @@ impl LinformerAttention {
     }
 }
 
+/// Low-rank attention with key/value projections `e_proj`, `f_proj` of shape
+/// `(proj_dim, max_windows)` — the op behind both [`LinformerAttention`] and the graph's
+/// Linformer attention node. Shorter sequences use the first `n` projection columns.
+pub fn attend(q: &Var, k: &Var, v: &Var, e_proj: &Var, f_proj: &Var) -> Var {
+    let n = k.shape()[2];
+    let dk = *q.shape().last().expect("head dim") as f32;
+    let e = e_proj.slice_axis(1, 0, n);
+    let f = f_proj.slice_axis(1, 0, n);
+    let k_proj = e.matmul(k); // (B,H,proj,dh) via broadcast of the 2-D projection
+    let v_proj = f.matmul(v);
+    // 1/√d folded into the score product — no scaled (b, h, n, proj) temporary.
+    let scores = q.matmul_nt_scaled(&k_proj, 1.0 / dk.sqrt());
+    scores.softmax_last().matmul(&v_proj)
+}
+
 impl Attention for LinformerAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let shape = k.shape();
@@ -56,15 +71,7 @@ impl Attention for LinformerAttention {
             "sequence of {n} windows exceeds the Linformer projection size {}",
             self.max_windows
         );
-        let dk = *q.shape().last().expect("head dim") as f32;
-        // Use the first n columns of the projections for shorter sequences.
-        let e = self.e_proj.slice_axis(1, 0, n);
-        let f = self.f_proj.slice_axis(1, 0, n);
-        let k_proj = e.matmul(k); // (B,H,proj,dh) via broadcast of the 2-D projection
-        let v_proj = f.matmul(v);
-        // 1/√d folded into the score product — no scaled (b, h, n, proj) temporary.
-        let scores = q.matmul_nt_scaled(&k_proj, 1.0 / dk.sqrt());
-        scores.softmax_last().matmul(&v_proj)
+        attend(q, k, v, &self.e_proj, &self.f_proj)
     }
 
     fn visit_params(&self, v: &mut ParamVisitor<'_>) {

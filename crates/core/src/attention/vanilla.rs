@@ -32,17 +32,22 @@ impl VanillaAttention {
     }
 }
 
+/// Exact softmax attention through the fused streaming kernel — the op behind both
+/// [`VanillaAttention`]'s default path and the graph's vanilla attention node.
+pub fn attend(q: &Var, k: &Var, v: &Var) -> Var {
+    let dk = *q.shape().last().expect("q must have a head dimension") as f32;
+    q.fused_attention(k, v, 1.0 / dk.sqrt())
+}
+
 impl Attention for VanillaAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
-        let dk = *q.shape().last().expect("q must have a head dimension") as f32;
-        let scale = 1.0 / dk.sqrt();
-        if self.unfused {
-            // The 1/√d is folded into the score product (one kernel pass), dropping the
-            // scaled `(b, h, n, n)` temporary the old `.scale()` materialised.
-            q.matmul_nt_scaled(k, scale).softmax_last().matmul(v)
-        } else {
-            q.fused_attention(k, v, scale)
+        if !self.unfused {
+            return attend(q, k, v);
         }
+        let dk = *q.shape().last().expect("q must have a head dimension") as f32;
+        // The 1/√d is folded into the score product (one kernel pass), dropping the
+        // scaled `(b, h, n, n)` temporary the old `.scale()` materialised.
+        q.matmul_nt_scaled(k, 1.0 / dk.sqrt()).softmax_last().matmul(v)
     }
 
     fn name(&self) -> &'static str {

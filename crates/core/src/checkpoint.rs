@@ -48,8 +48,8 @@
 //! assume they consumed the whole buffer. This reader accepts version 1 (no checksum
 //! trailer — integrity is the caller's problem, as it always was), version 2 (trailer
 //! verified; any mismatch is [`CheckpointError::ChecksumMismatch`]), and version 3
-//! (per-tensor dtype tags). [`Checkpoint::to_bytes_versioned`] still emits v1/v2 for
-//! all-f32 checkpoints, so downgrade paths stay testable byte-for-byte.
+//! (per-tensor dtype tags). The writer emits version 3 only; committed v1 and v2
+//! fixture files keep the older layouts tested byte-for-byte.
 //!
 //! ## Scale values are not validated here
 //!
@@ -130,15 +130,6 @@ impl TensorRecord {
     /// Element count.
     pub fn numel(&self) -> usize {
         self.shape().iter().product()
-    }
-
-    /// Human-readable dtype name (matches the metrics/report vocabulary).
-    pub fn dtype(&self) -> &'static str {
-        match self {
-            TensorRecord::F32(_) => "f32",
-            TensorRecord::Int8 { .. } => "int8",
-            TensorRecord::Bf16 { .. } => "bf16",
-        }
     }
 
     /// Payload size in bytes as serialized (codes + scales for int8).
@@ -553,30 +544,9 @@ impl Checkpoint {
 
     /// Serialises to the current (version-3) byte format, checksum trailer included.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(VERSION).expect("the current version encodes every record")
-    }
-
-    /// Serialises to a specific format version. Versions 1 and 2 have no dtype-tagged
-    /// records, so they can only encode all-f32 checkpoints — asking for one with a
-    /// quantized record is a `Corrupted` error. This keeps genuine old-format bytes
-    /// producible (compat tests, downgrade tooling) from the current writer.
-    pub fn to_bytes_versioned(&self, version: u32) -> Result<Vec<u8>, CheckpointError> {
-        if !(1..=VERSION).contains(&version) {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        if version < 3 {
-            if let Some((path, rec)) =
-                self.tensors.iter().find(|(_, r)| !matches!(r, TensorRecord::F32(_)))
-            {
-                return Err(CheckpointError::Corrupted(format!(
-                    "tensor '{path}' is {} — version {version} encodes f32 only",
-                    rec.dtype()
-                )));
-            }
-        }
         let mut w = Writer::default();
         w.bytes(MAGIC);
-        w.u32(version);
+        w.u32(VERSION);
         match self.task {
             TaskKind::Backbone => {
                 w.u8(0);
@@ -640,12 +610,7 @@ impl Checkpoint {
         for (path, record) in &self.tensors {
             let start = w.0.len();
             w.str(path);
-            if version >= 3 {
-                w.record(record);
-            } else {
-                let TensorRecord::F32(tensor) = record else { unreachable!("checked above") };
-                w.tensor(tensor);
-            }
+            w.record(record);
             tensor_crcs.push(crc32(&w.0[start..]));
         }
         match &self.optimizer {
@@ -668,17 +633,15 @@ impl Checkpoint {
                 }
             }
         }
-        // Version ≥ 2 trailer: per-tensor CRCs, then the whole-file CRC over
-        // everything written so far (trailer counts and tensor CRCs included).
-        if version >= 2 {
-            w.u32(tensor_crcs.len() as u32);
-            for crc in &tensor_crcs {
-                w.u32(*crc);
-            }
-            let file_crc = crc32(&w.0);
-            w.u32(file_crc);
+        // Trailer: per-tensor CRCs, then the whole-file CRC over everything written so
+        // far (trailer counts and tensor CRCs included).
+        w.u32(tensor_crcs.len() as u32);
+        for crc in &tensor_crcs {
+            w.u32(*crc);
         }
-        Ok(w.0)
+        let file_crc = crc32(&w.0);
+        w.u32(file_crc);
+        w.0
     }
 
     /// Parses the byte format, accepting versions 1 (no checksum trailer), 2 (trailer
@@ -939,14 +902,6 @@ impl Writer {
         for &x in xs {
             self.f32(x);
         }
-    }
-
-    fn tensor(&mut self, t: &NdArray) {
-        self.u32(t.shape().len() as u32);
-        for &d in t.shape() {
-            self.u32(d as u32);
-        }
-        self.f32_slice(&t.materialize().into_vec());
     }
 
     /// Writes one version-3 dtype-tagged record (dtype, dims, scale count for int8,
@@ -1282,15 +1237,20 @@ mod tests {
         }
     }
 
+    /// Version-1 bytes (untagged f32 records, no integrity trailer), written once by
+    /// the v1 encoder for `classifier(default_group, 14)`.
+    const V1_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v1.ckpt");
+    /// Version-2 bytes (untagged f32 records, CRC trailer), written once by the v2
+    /// encoder for `classifier(default_group, 23)`.
+    const V2_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/checkpoint_v2.ckpt");
+
     #[test]
     fn version_1_files_without_a_trailer_still_load() {
         let clf = classifier(AttentionKind::default_group(), 14);
         let ckpt = Checkpoint::of_classifier(&clf, None);
-        // Genuine v1 bytes from the versioned writer: untagged f32 tensor records,
-        // no integrity trailer — byte-for-byte what a version-1 writer produced.
-        let v1 = ckpt.to_bytes_versioned(1).expect("all-f32 checkpoints downgrade");
+        let v1 = V1_FIXTURE;
         assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-        let restored = Checkpoint::from_bytes(&v1).expect("v1 files must keep loading");
+        let restored = Checkpoint::from_bytes(v1).expect("v1 files must keep loading");
         assert_eq!(restored.tensors.len(), ckpt.tensors.len());
         for ((pa, ta), (pb, tb)) in ckpt.tensors.iter().zip(&restored.tensors) {
             assert_eq!(pa, pb);
@@ -1298,7 +1258,7 @@ mod tests {
         }
         // A v1 file is *not* integrity-checked: the same flip loads fine, which is
         // exactly why the version was bumped.
-        let mut flipped = v1.clone();
+        let mut flipped = v1.to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
         let _ = Checkpoint::from_bytes(&flipped); // may fail structurally, must not panic
@@ -1410,33 +1370,18 @@ mod tests {
     }
 
     #[test]
-    fn old_versions_refuse_to_encode_quantized_records() {
-        let clf = classifier(AttentionKind::Vanilla, 22);
-        let q = Checkpoint::of_classifier(&clf, None).quantize();
-        for v in [1, 2] {
-            let err = q.to_bytes_versioned(v).unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupted(_)), "v{v}: {err}");
-        }
-        assert!(matches!(q.to_bytes_versioned(0), Err(CheckpointError::UnsupportedVersion(0))));
-        assert!(matches!(
-            q.to_bytes_versioned(VERSION + 1),
-            Err(CheckpointError::UnsupportedVersion(_))
-        ));
-    }
-
-    #[test]
     fn v2_bytes_from_the_versioned_writer_load_bit_exactly() {
         let clf = classifier(AttentionKind::default_group(), 23);
         let ckpt = Checkpoint::of_classifier(&clf, None);
-        let v2 = ckpt.to_bytes_versioned(2).unwrap();
+        let v2 = V2_FIXTURE;
         assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        let restored = Checkpoint::from_bytes(&v2).expect("v2 files must keep loading");
+        let restored = Checkpoint::from_bytes(v2).expect("v2 files must keep loading");
         for ((pa, ta), (pb, tb)) in ckpt.tensors.iter().zip(&restored.tensors) {
             assert_eq!(pa, pb);
             assert_eq!(ta, tb, "bit-exact v2 tensor {pa}");
         }
         // v2 is still integrity-checked: a flipped data byte is caught.
-        let mut damaged = v2.clone();
+        let mut damaged = v2.to_vec();
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0xFF;
         assert!(Checkpoint::from_bytes(&damaged).is_err());

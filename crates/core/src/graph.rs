@@ -1,29 +1,39 @@
-//! Emission of the static forward graph from a model configuration, and the `no_grad`
-//! [`Var`] interpreter that serves as the exactness oracle for plan executors.
+//! The RITA model's one definition: the static forward graph, and the [`Var`]
+//! interpreter that runs it.
 //!
 //! [`build_graph`] lays out the whole RITA forward — window embedding, encoder stack,
 //! task head — as [`rita_nn::graph`] nodes whose IDs are the dot-separated parameter
-//! paths the module visitors produce, so a checkpoint's tensors bind to the graph by
-//! name with no translation table. The graph is emitted *unfused* (separate matmul and
-//! add-bias nodes); [`Graph::peephole`] folds the chains the kernels can run as one
-//! node.
+//! paths the module visitors produce, so a checkpoint's tensors and a live model's
+//! parameters bind to the graph by name with no translation table. The graph is emitted
+//! *unfused* (separate matmul and add-bias nodes); [`Graph::peephole`] folds the chains
+//! the kernels can run as one node. Training graphs add the encoder layers' dropout
+//! nodes; inference graphs never contain one.
 //!
-//! [`run_var`] walks a compiled schedule with the same `Var` operations the training
-//! modules call, under `no_grad`. Because the training forward and this interpreter
-//! share every kernel and its invocation order, their outputs are bit-identical — and
-//! any other interpreter of the same plan (the tape-free one in `rita-infer`) can be
-//! checked against it to 0 ulp.
+//! One interpreter walks a graph's schedule with `Var` operations. `run_model` runs
+//! it with a model's live parameters and autograd on, sending each attention node to
+//! that layer's [`Attention`](crate::attention::Attention) mechanism: this is the
+//! model's forward, for training and evaluation alike. [`run_var`] runs it on
+//! checkpoint tensors under `no_grad`: the exactness oracle that any other interpreter
+//! of the same plan (the tape-free one in `rita-infer`) is checked against to 0 ulp.
+//! Both execute each op through the same function
+//! ([`rita_nn::layers::layer_norm`], each mechanism's `attend`), so the oracle equals
+//! the training forward by construction.
 
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use rita_nn::graph::{AttnOp, Binding, Graph, Op, PlanError, ValueId};
-use rita_nn::{no_grad, Var};
+use rand::Rng;
+use rita_nn::graph::{AttnOp, Graph, Op, PlanError, ValueId};
+use rita_nn::layers::{layer_norm, Dropout};
+use rita_nn::{no_grad, Module, Var};
 use rita_tensor::NdArray;
 
+use crate::attention::group::effective_group_count;
+use crate::attention::{group, linformer, performer, vanilla};
 use crate::attention::{AttentionKind, GroupAttentionConfig};
 use crate::checkpoint::TaskKind;
 use crate::group::group_key_blocks;
-use crate::model::RitaConfig;
+use crate::model::config::windows_for;
+use crate::model::{RitaConfig, RitaModel};
 
 /// The value name under which interpreters look up the sinusoidal positional table
 /// (rebuilt from the config, never checkpointed).
@@ -48,7 +58,17 @@ fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
     )
 }
 
-/// Builds the forward graph for `config` and `task`.
+/// Emits a dropout node when `p > 0`; otherwise dropout is the identity and emits
+/// nothing.
+fn emit_dropout(g: &mut Graph, id: &str, x: ValueId, p: f32) -> ValueId {
+    if p > 0.0 {
+        g.push(id, Op::Dropout { p }, vec![x])
+    } else {
+        x
+    }
+}
+
+/// Builds the inference forward graph for `config` and `task`.
 ///
 /// `scheduler` is the checkpoint's persisted per-layer group-count targets (ignored for
 /// non-group attention); a missing entry falls back to the configured initial group
@@ -56,6 +76,19 @@ fn emit_layer_norm(g: &mut Graph, prefix: &str, x: ValueId) -> ValueId {
 /// grammar (`model.encoder.layers.3.norm1`, …), with the `model.` prefix dropped for a
 /// bare backbone — matching how checkpoints name their tensors per task.
 pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>]) -> Graph {
+    emit(config, task, scheduler, 0.0)
+}
+
+/// [`build_graph`] with, when `dropout > 0`, an [`Op::Dropout`] node at each of an
+/// encoder layer's three dropout sites: after the attention output projection
+/// (`dropout1`), after the feed-forward GELU (`ff.dropout`) and after the feed-forward
+/// contraction (`dropout2`). Training runs this graph with `config.dropout`.
+pub(crate) fn emit(
+    config: &RitaConfig,
+    task: TaskKind,
+    scheduler: &[Option<f32>],
+    dropout: f32,
+) -> Graph {
     config.validate();
     let bb = match task {
         TaskKind::Backbone => "",
@@ -71,12 +104,7 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
         Op::Unfold1d { window: config.window, stride: config.stride },
         vec![x],
     );
-    let embedded = {
-        let w = g.param(&format!("{bb}embedding.conv.weight"), false);
-        let b = g.param(&format!("{bb}embedding.conv.bias"), true);
-        let y = g.push(&format!("{bb}embedding.conv.matmul"), Op::Matmul, vec![windows, w]);
-        g.push(&format!("{bb}embedding.conv.add_bias"), Op::AddBias, vec![y, b])
-    };
+    let embedded = emit_linear(&mut g, &format!("{bb}embedding.conv"), windows);
     let cls = g.param(&format!("{bb}embedding.cls"), false);
     let pos = g.positional(POSITIONAL);
     let mut h = g.push(&format!("{bb}embedding"), Op::ClsConcatPos, vec![embedded, cls, pos]);
@@ -112,11 +140,14 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
         let attended = g.push(&format!("{p}.attention"), Op::Attention(attn_op), attn_inputs);
         let merged = g.push(&format!("{p}.attention.merge_heads"), Op::MergeHeads, vec![attended]);
         let projected = emit_linear(&mut g, &format!("{p}.out_proj"), merged);
+        let projected = emit_dropout(&mut g, &format!("{p}.dropout1"), projected, dropout);
         let sum1 = g.push(&format!("{p}.residual1"), Op::Add, vec![h, projected]);
         let x1 = emit_layer_norm(&mut g, &format!("{p}.norm1"), sum1);
         let ff1 = emit_linear(&mut g, &format!("{p}.ff.fc1"), x1);
         let act = g.push(&format!("{p}.ff.gelu"), Op::Gelu, vec![ff1]);
+        let act = emit_dropout(&mut g, &format!("{p}.ff.dropout"), act, dropout);
         let ff2 = emit_linear(&mut g, &format!("{p}.ff.fc2"), act);
+        let ff2 = emit_dropout(&mut g, &format!("{p}.dropout2"), ff2, dropout);
         let sum2 = g.push(&format!("{p}.residual2"), Op::Add, vec![x1, ff2]);
         h = emit_layer_norm(&mut g, &format!("{p}.norm2"), sum2);
     }
@@ -147,165 +178,196 @@ pub fn build_graph(config: &RitaConfig, task: TaskKind, scheduler: &[Option<f32>
 /// Executes `graph` on `x` with `no_grad` [`Var`] operations — the exactness oracle.
 ///
 /// `lookup` supplies parameter tensors by path and the positional table under
-/// [`POSITIONAL`]. Every op mirrors the corresponding training-module forward
-/// call-for-call, so the result is bit-identical to running the module tree itself.
+/// [`POSITIONAL`]. Each op runs through the same function as in the training forward,
+/// so on the same tensors the two agree bit for bit. Dropout nodes are the identity:
+/// the oracle is an evaluation-mode run. Panics unless `x` fits the graph's window
+/// embedding (rank 3, channel count, length, positional rows).
 pub fn run_var(
     graph: &Graph,
     x: &NdArray,
     lookup: &dyn Fn(&str) -> Option<NdArray>,
 ) -> Result<Var, PlanError> {
-    let order = graph.schedule()?;
     no_grad(|| {
-        let mut slots: Vec<Option<Var>> = vec![None; graph.values.len()];
-        slots[graph.input.0] = Some(Var::constant(x.clone()));
-        let fetch = |slots: &[Option<Var>], v: ValueId| -> Result<Var, PlanError> {
-            if let Some(var) = &slots[v.0] {
-                return Ok(var.clone());
-            }
-            let info = &graph.values[v.0];
-            let name = match &info.binding {
-                Some(Binding::Param { path, .. }) => path.as_str(),
-                Some(Binding::Positional) => info.name.as_str(),
-                _ => return Err(PlanError::MissingParam(info.name.clone())),
-            };
-            lookup(name).map(Var::constant).ok_or_else(|| PlanError::MissingParam(name.to_string()))
-        };
-        for &ni in &order {
-            let node = &graph.nodes[ni];
-            let mut ins = Vec::with_capacity(node.inputs.len());
-            for &v in &node.inputs {
-                ins.push(fetch(&slots, v)?);
-            }
-            let out = exec_var(&node.op, &ins, x.shape());
-            slots[node.output.0] = Some(out);
-        }
-        slots[graph.output.0].take().ok_or_else(|| PlanError::MissingParam("graph output".into()))
+        interpret(
+            graph,
+            x,
+            &|name| lookup(name).map(Var::constant),
+            &mut |_, attn, ins| oracle_attend(attn, ins),
+            &mut |h, _| h.clone(),
+        )
     })
 }
 
-/// One node under the `Var` interpreter, using exactly the training modules' op chains.
-fn exec_var(op: &Op, ins: &[Var], input_shape: &[usize]) -> Var {
-    match op {
-        Op::Matmul => ins[0].matmul(&ins[1]),
-        Op::AddBias => ins[0].add(&ins[1]),
-        Op::Linear { bias } => {
-            let y = ins[0].matmul(&ins[1]);
-            if *bias {
-                y.add(&ins[2])
+/// Runs `graph` on `x` as `model`'s forward, with autograd on. Parameters bind by path
+/// to `params` (the live `Var`s of the task module owning `model`, see
+/// `live_params`). Each attention node runs its encoder layer's
+/// [`Attention`](crate::attention::Attention), so the §5.1 scheduler updates in place,
+/// and each dropout node draws its mask from `rng` in schedule order.
+///
+/// Panics unless `x` is `(batch, channels, length)` with the model's channel count, at
+/// least one window long, and no more windows than the positional table holds.
+pub(crate) fn run_model(
+    graph: &Graph,
+    x: &NdArray,
+    params: &HashMap<String, Var>,
+    model: &mut RitaModel,
+    rng: &mut impl Rng,
+) -> Var {
+    let positional = Var::constant(model.embedding.positional().clone());
+    let layers = &mut model.encoder.layers;
+    interpret(
+        graph,
+        x,
+        &|name| {
+            if name == POSITIONAL {
+                Some(positional.clone())
             } else {
-                y
+                params.get(name).cloned()
             }
-        }
-        Op::Unfold1d { window, stride } => ins[0].unfold1d(*window, *stride),
-        Op::WindowEmbed { window, stride, bias } => {
-            let y = ins[0].unfold1d(*window, *stride).matmul(&ins[1]);
-            if *bias {
-                y.add(&ins[2])
-            } else {
-                y
-            }
-        }
-        Op::ClsConcatPos => {
-            // Mirrors `TimeConvEmbed::forward` after the convolution.
-            let embedded = &ins[0];
-            let shape = embedded.shape();
-            let (batch, n, d) = (shape[0], shape[1], shape[2]);
-            let cls = ins[1].reshape(&[1, 1, d]);
-            let cls_batch = cls.mul(&Var::constant(NdArray::ones(&[batch, 1, d])));
-            let with_cls = Var::concat(&[cls_batch, embedded.clone()], 1);
-            let pos = ins[2].slice_axis(0, 0, n + 1);
-            with_cls.add(&pos)
-        }
-        Op::LayerNorm { eps } => {
-            // Mirrors `rita_nn::layers::LayerNorm::forward`.
-            let x = &ins[0];
-            let last = x.shape().len() - 1;
-            let mean = x.mean_axis(last);
-            let centered = x.sub(&mean);
-            let var = centered.square().mean_axis(last);
-            let denom = var.add_scalar(*eps).sqrt();
-            centered.div(&denom).mul(&ins[1]).add(&ins[2])
-        }
-        Op::Gelu => ins[0].gelu(),
-        Op::Add => ins[0].add(&ins[1]),
-        Op::SplitHeads { heads } => crate::attention::split_heads(&ins[0], *heads),
-        Op::MergeHeads => crate::attention::merge_heads(&ins[0]),
-        Op::Attention(attn) => exec_var_attention(attn, ins),
-        Op::ClsPool => {
-            let shape = ins[0].shape();
-            ins[0].slice_axis(1, 0, 1).reshape(&[shape[0], shape[2]])
-        }
-        Op::SliceWindows => {
-            let n = ins[0].shape()[1];
-            ins[0].slice_axis(1, 1, n)
-        }
-        Op::Fold1d { channels, window, stride } => {
-            ins[0].fold1d(*channels, *window, *stride, input_shape[2])
+        },
+        &mut |layer, _, ins| layers[layer].attention.forward(&ins[0], &ins[1], &ins[2]),
+        &mut |h, p| Dropout::new(p).forward(h, true, rng),
+    )
+    .expect("the graph binds only the paths of the model's own parameters")
+}
+
+/// Every parameter (as its live `Var`) and buffer (as a constant) of `module` by path.
+pub(crate) fn live_params(module: &impl Module) -> HashMap<String, Var> {
+    let mut params: HashMap<String, Var> =
+        module.named_parameters().into_iter().map(|(path, var)| (path.to_string(), var)).collect();
+    for (path, buffer) in module.named_buffers() {
+        params.insert(path.to_string(), Var::constant(buffer));
+    }
+    params
+}
+
+/// The window embedding's input contract, checked once at the graph-run entry so a bad
+/// batch fails with a clear message instead of inside a kernel.
+fn check_input(graph: &Graph, shape: &[usize], bind: &dyn Fn(&str) -> Option<Var>) {
+    assert_eq!(shape.len(), 3, "expected (batch, channels, length), got {shape:?}");
+    let rows = |suffix: &str| {
+        let value = graph.values.iter().find(|v| v.binding.is_some() && v.name.ends_with(suffix));
+        value.and_then(|v| bind(&v.name)).map_or(0, |t| t.shape()[0])
+    };
+    for node in &graph.nodes {
+        if let Op::Unfold1d { window, stride } | Op::WindowEmbed { window, stride, .. } = node.op {
+            let channels = rows("embedding.conv.weight") / window;
+            assert_eq!(shape[1], channels, "channel mismatch: {} vs {}", shape[1], channels);
+            let n = windows_for(shape[2], window, stride);
+            assert!(
+                n < rows(POSITIONAL),
+                "series produces {n} windows, more than the positional table supports"
+            );
         }
     }
 }
 
-fn exec_var_attention(attn: &AttnOp, ins: &[Var]) -> Var {
+/// Walks `graph`'s schedule on `x`. `bind` resolves a bound value by its name (a
+/// parameter's path, or [`POSITIONAL`]); `attend` runs the `i`-th attention node (`i` = encoder layer) on its inputs;
+/// `dropout` runs a dropout node with its drop probability. Every other op is the same
+/// `Var` call for every caller.
+fn interpret(
+    graph: &Graph,
+    x: &NdArray,
+    bind: &dyn Fn(&str) -> Option<Var>,
+    attend: &mut dyn FnMut(usize, &AttnOp, &[Var]) -> Var,
+    dropout: &mut dyn FnMut(&Var, f32) -> Var,
+) -> Result<Var, PlanError> {
+    check_input(graph, x.shape(), bind);
+    let order = graph.schedule()?;
+    let mut last_use = vec![0usize; graph.values.len()];
+    for (pos, &ni) in order.iter().enumerate() {
+        for v in &graph.nodes[ni].inputs {
+            last_use[v.0] = pos;
+        }
+    }
+    let mut slots: Vec<Option<Var>> = vec![None; graph.values.len()];
+    slots[graph.input.0] = Some(Var::constant(x.clone()));
+    let mut layer = 0;
+    for (pos, &ni) in order.iter().enumerate() {
+        let node = &graph.nodes[ni];
+        let mut ins = Vec::with_capacity(node.inputs.len());
+        for &v in &node.inputs {
+            let name = &graph.values[v.0].name;
+            let bound = || bind(name).ok_or_else(|| PlanError::MissingParam(name.clone()));
+            ins.push(slots[v.0].clone().map_or_else(bound, Ok)?);
+        }
+        let out = match &node.op {
+            Op::Matmul => ins[0].matmul(&ins[1]),
+            Op::AddBias | Op::Add => ins[0].add(&ins[1]),
+            Op::Linear { .. } => linear(&ins[0], &ins[1..]),
+            Op::Unfold1d { window, stride } => ins[0].unfold1d(*window, *stride),
+            Op::WindowEmbed { window, stride, .. } => {
+                linear(&ins[0].unfold1d(*window, *stride), &ins[1..])
+            }
+            Op::ClsConcatPos => {
+                // Prepend the [CLS] token broadcast across the batch, then add the
+                // positional rows (a constant, broadcast over the batch).
+                let embedded = &ins[0];
+                let shape = embedded.shape();
+                let (batch, n, d) = (shape[0], shape[1], shape[2]);
+                let cls = ins[1].reshape(&[1, 1, d]);
+                let cls_batch = cls.mul(&Var::constant(NdArray::ones(&[batch, 1, d])));
+                let with_cls = Var::concat(&[cls_batch, embedded.clone()], 1);
+                with_cls.add(&ins[2].slice_axis(0, 0, n + 1))
+            }
+            Op::LayerNorm { eps } => layer_norm(&ins[0], &ins[1], &ins[2], *eps),
+            Op::Gelu => ins[0].gelu(),
+            Op::Dropout { p } => dropout(&ins[0], *p),
+            Op::SplitHeads { heads } => crate::attention::split_heads(&ins[0], *heads),
+            Op::MergeHeads => crate::attention::merge_heads(&ins[0]),
+            Op::Attention(attn) => {
+                layer += 1;
+                attend(layer - 1, attn, &ins)
+            }
+            Op::ClsPool => {
+                let shape = ins[0].shape();
+                ins[0].slice_axis(1, 0, 1).reshape(&[shape[0], shape[2]])
+            }
+            Op::SliceWindows => {
+                let n = ins[0].shape()[1];
+                ins[0].slice_axis(1, 1, n)
+            }
+            Op::Fold1d { channels, window, stride } => {
+                ins[0].fold1d(*channels, *window, *stride, x.shape()[2])
+            }
+        };
+        if node.output == graph.output {
+            return Ok(out);
+        }
+        // Release activations at their last read; under autograd the tape still holds
+        // what the backward needs.
+        for v in &node.inputs {
+            if last_use[v.0] == pos {
+                slots[v.0] = None;
+            }
+        }
+        slots[node.output.0] = Some(out);
+    }
+    Err(PlanError::MissingParam("graph output".into()))
+}
+
+/// `x · w (+ b)` for the fused linear ops, whose inputs after `x` are `[w]` or `[w, b]`.
+fn linear(x: &Var, wb: &[Var]) -> Var {
+    match wb {
+        [w, b] => x.matmul(w).add(b),
+        _ => x.matmul(&wb[0]),
+    }
+}
+
+/// One attention node on checkpoint tensors, with the group-attention scheduler target
+/// frozen at graph-emission time.
+fn oracle_attend(attn: &AttnOp, ins: &[Var]) -> Var {
     let (q, k, v) = (&ins[0], &ins[1], &ins[2]);
-    let shape = q.shape();
-    let (b, heads, n_windows, dh) = (shape[0], shape[1], shape[2], shape[3]);
     match attn {
-        AttnOp::Vanilla => q.fused_attention(k, v, 1.0 / (dh as f32).sqrt()),
+        AttnOp::Vanilla => vanilla::attend(q, k, v),
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
-            // Mirrors `GroupAttention::forward`'s fused sparse path with the scheduler
-            // target frozen at graph-emission time.
-            let groups = (n_groups.round() as usize).clamp((*min_groups).min(n_windows), n_windows);
-            let keys_detached = k.to_array();
-            let groupings = group_key_blocks(&keys_detached, groups, *kmeans_iters);
-            let counts_flat: Vec<f32> =
-                groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, heads, groups, 1],
-            )
-            .expect("inverse count shape");
-            let segments: Arc<[usize]> = groupings
-                .iter()
-                .flat_map(|g| g.assignments.iter().copied())
-                .collect::<Vec<_>>()
-                .into();
-            let representatives =
-                k.segment_sum(segments.clone(), groups).mul(&Var::constant(inv_counts));
-            let aggregated = v.segment_sum(segments, groups);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let weights =
-                NdArray::from_vec(counts_flat, &[b, heads, groups]).expect("group weight shape");
-            q.fused_group_attention(&representatives, &aggregated, scale, weights)
+            let groups = effective_group_count(*n_groups, *min_groups, q.shape()[2]);
+            let groupings = group_key_blocks(&k.to_array(), groups, *kmeans_iters);
+            group::attend(q, k, v, &groupings, groups)
         }
-        AttnOp::Performer { features } => {
-            // Mirrors `PerformerAttention::forward` / `feature_map`.
-            let omega = &ins[3];
-            let scale = (dh as f32).powf(-0.25);
-            let feature_map = |x: &Var| {
-                let logits = x.matmul(omega);
-                let sq_norm = x.square().sum_axis(3).scale(0.5);
-                let raw = logits.sub(&sq_norm);
-                let stab = raw.to_array().max_all();
-                raw.add_scalar(-stab).exp().scale(1.0 / (*features as f32).sqrt())
-            };
-            let phi_q = feature_map(&q.scale(scale));
-            let phi_k = feature_map(&k.scale(scale));
-            let kv = phi_k.transpose_last2().matmul(v);
-            let numerator = phi_q.matmul(&kv);
-            let phi_k_sum = phi_k.sum_axis(2);
-            let denominator = phi_q.matmul_nt(&phi_k_sum).add_scalar(1e-6);
-            numerator.div(&denominator)
-        }
-        AttnOp::Linformer { .. } => {
-            // Mirrors `LinformerAttention::forward`.
-            let (e_full, f_full) = (&ins[3], &ins[4]);
-            let e = e_full.slice_axis(1, 0, n_windows);
-            let f = f_full.slice_axis(1, 0, n_windows);
-            let k_proj = e.matmul(k);
-            let v_proj = f.matmul(v);
-            let scores = q.matmul_nt_scaled(&k_proj, 1.0 / (dh as f32).sqrt());
-            scores.softmax_last().matmul(&v_proj)
-        }
+        AttnOp::Performer { .. } => performer::attend(q, k, v, &ins[3]),
+        AttnOp::Linformer { .. } => linformer::attend(q, k, v, &ins[3], &ins[4]),
     }
 }
 
@@ -330,17 +392,29 @@ mod tests {
     #[test]
     fn graph_params_match_checkpoint_tensor_paths_exactly() {
         let mut rng = SeedableRng64::seed_from_u64(0);
+        let dropouts =
+            |g: &Graph| g.nodes.iter().filter(|n| matches!(n.op, Op::Dropout { .. })).count();
         for kind in kinds() {
-            let config = RitaConfig::tiny(3, 60, kind);
-            let clf = Classifier::new(config, 4, &mut rng);
-            let ckpt = Checkpoint::of_classifier(&clf, None);
-            let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
-            let mut graph_paths: Vec<String> =
-                graph.param_paths().into_iter().map(|(p, _)| p).collect();
-            let mut ckpt_paths: Vec<String> = ckpt.tensors.iter().map(|(p, _)| p.clone()).collect();
-            graph_paths.sort();
-            ckpt_paths.sort();
-            assert_eq!(graph_paths, ckpt_paths, "{}", kind.name());
+            for dropout in [0.0, 0.1] {
+                let config = RitaConfig { dropout, ..RitaConfig::tiny(3, 60, kind) };
+                let clf = Classifier::new(config, 4, &mut rng);
+                let ckpt = Checkpoint::of_classifier(&clf, None);
+                let graph = build_graph(&config, ckpt.task, &ckpt.scheduler);
+                let training = emit(&config, ckpt.task, &ckpt.scheduler, config.dropout);
+                let mut ckpt_paths: Vec<String> =
+                    ckpt.tensors.iter().map(|(p, _)| p.clone()).collect();
+                ckpt_paths.sort();
+                for g in [&graph, &training] {
+                    let mut graph_paths: Vec<String> =
+                        g.param_paths().into_iter().map(|(p, _)| p).collect();
+                    graph_paths.sort();
+                    assert_eq!(graph_paths, ckpt_paths, "{}", kind.name());
+                }
+                // Dropout lives only in training graphs: three sites per encoder layer.
+                assert_eq!(dropouts(&graph), 0, "{}", kind.name());
+                let want = if dropout > 0.0 { 3 * config.n_layers } else { 0 };
+                assert_eq!(dropouts(&training), want, "{}", kind.name());
+            }
         }
     }
 

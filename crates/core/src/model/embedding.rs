@@ -11,7 +11,10 @@ use rand::Rng;
 use rita_nn::{layers::Linear, Module, ParamVisitor, Var};
 use rita_tensor::NdArray;
 
-/// Window embedding + positional encoding + `[CLS]` token.
+/// Window embedding + positional encoding + `[CLS]` token: the input stage's
+/// parameters. The forward is the graph's embedding stage
+/// ([`crate::graph::build_graph`]): unfold the series into windows, project each window
+/// (the convolution), prepend `[CLS]` and add the positional rows.
 pub struct TimeConvEmbed {
     /// The convolution expressed as a linear map over unfolded windows
     /// (`channels · window → d_model`).
@@ -20,9 +23,6 @@ pub struct TimeConvEmbed {
     pub cls: Var,
     /// Fixed sinusoidal positional table of shape `(max_windows + 1, d_model)`.
     positional: NdArray,
-    window: usize,
-    stride: usize,
-    channels: usize,
 }
 
 impl TimeConvEmbed {
@@ -32,57 +32,12 @@ impl TimeConvEmbed {
         let conv = Linear::new(config.channels * config.window, config.d_model, rng);
         let cls = Var::parameter(NdArray::randn(&[config.d_model], 0.02, rng));
         let positional = sinusoidal_table(config.max_windows() + 1, config.d_model);
-        Self {
-            conv,
-            cls,
-            positional,
-            window: config.window,
-            stride: config.stride,
-            channels: config.channels,
-        }
+        Self { conv, cls, positional }
     }
 
-    /// Embeds a batch of raw series `(batch, channels, length)` into
-    /// `(batch, windows + 1, d_model)`; position 0 is the `[CLS]` token.
-    pub fn forward(&self, x: &Var) -> Var {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 3, "expected (batch, channels, length), got {shape:?}");
-        assert_eq!(shape[1], self.channels, "channel mismatch: {} vs {}", shape[1], self.channels);
-        assert!(
-            shape[2] >= self.window,
-            "series length {} is shorter than the convolution window {}; \
-             pad the series or configure a smaller window",
-            shape[2],
-            self.window
-        );
-        let batch = shape[0];
-        // Window embedding: unfold then project (the convolution).
-        let windows = x.unfold1d(self.window, self.stride); // (B, n, c*w)
-        let embedded = self.conv.forward(&windows); // (B, n, d)
-        let n = embedded.shape()[1];
-        let d = embedded.shape()[2];
-        assert!(
-            n < self.positional.shape()[0],
-            "series produces {n} windows, more than the positional table supports"
-        );
-        // Prepend CLS: broadcast the learned vector across the batch.
-        let cls = self.cls.reshape(&[1, 1, d]);
-        let cls_batch = cls.mul(&Var::constant(NdArray::ones(&[batch, 1, d])));
-        let with_cls = Var::concat(&[cls_batch, embedded], 1); // (B, n+1, d)
-                                                               // Add positional encodings (constant, broadcast over the batch).
-        let pos = self.positional.slice_axis(0, 0, n + 1).expect("positional slice");
-        with_cls.add(&Var::constant(pos))
-    }
-
-    /// Number of windows produced for a series of length `len`. Panics with a clear
-    /// error when `len` is shorter than the window (see [`crate::model::config::windows_for`]).
-    pub fn windows_for(&self, len: usize) -> usize {
-        crate::model::config::windows_for(len, self.window, self.stride)
-    }
-
-    /// Convolution window width.
-    pub fn window(&self) -> usize {
-        self.window
+    /// The positional table the graph binds under [`crate::graph::POSITIONAL`].
+    pub(crate) fn positional(&self) -> &NdArray {
+        &self.positional
     }
 }
 
@@ -113,6 +68,9 @@ pub fn sinusoidal_table(len: usize, d: usize) -> NdArray {
 mod tests {
     use super::*;
     use crate::attention::AttentionKind;
+    use crate::checkpoint::TaskKind;
+    use crate::graph::{build_graph, live_params, run_model};
+    use crate::model::RitaModel;
     use rand::SeedableRng;
     use rita_tensor::SeedableRng64;
 
@@ -124,32 +82,41 @@ mod tests {
         RitaConfig::tiny(3, 50, AttentionKind::Vanilla)
     }
 
+    /// Runs the graph's embedding stage (the backbone graph cut at its `embedding`
+    /// node) on `x` with `model`'s live parameters.
+    fn embed(model: &mut RitaModel, x: &NdArray, r: &mut SeedableRng64) -> Var {
+        let mut graph = build_graph(&model.config, TaskKind::Backbone, &[]);
+        graph.output = graph.nodes.iter().find(|n| n.id == "embedding").unwrap().output;
+        let params = live_params(&*model);
+        run_model(&graph, x, &params, model, r)
+    }
+
     #[test]
     fn embeds_to_windows_plus_cls() {
         let mut r = rng(0);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::randn(&[4, 3, 50], 1.0, &mut r));
-        let e = embed.forward(&x);
+        let mut model = RitaModel::new(config(), &mut r);
+        let x = NdArray::randn(&[4, 3, 50], 1.0, &mut r);
+        let e = embed(&mut model, &x, &mut r);
         // 50 / 5 = 10 windows + CLS
         assert_eq!(e.shape(), vec![4, 11, 16]);
-        assert_eq!(embed.windows_for(50), 10);
-        assert_eq!(embed.window(), 5);
+        assert_eq!(model.config.windows_for(50), 10);
+        assert_eq!(model.config.window, 5);
     }
 
     #[test]
     fn shorter_series_use_fewer_positions() {
         let mut r = rng(1);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::randn(&[2, 3, 25], 1.0, &mut r));
-        assert_eq!(embed.forward(&x).shape(), vec![2, 6, 16]);
+        let mut model = RitaModel::new(config(), &mut r);
+        let x = NdArray::randn(&[2, 3, 25], 1.0, &mut r);
+        assert_eq!(embed(&mut model, &x, &mut r).shape(), vec![2, 6, 16]);
     }
 
     #[test]
     fn cls_token_is_shared_across_batch() {
         let mut r = rng(2);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::randn(&[3, 3, 20], 1.0, &mut r));
-        let e = embed.forward(&x).to_array();
+        let mut model = RitaModel::new(config(), &mut r);
+        let x = NdArray::randn(&[3, 3, 20], 1.0, &mut r);
+        let e = embed(&mut model, &x, &mut r).to_array();
         // Position 0 of every batch element is CLS + positional[0] — identical across batch.
         let first = e.index_axis0(0).unwrap().index_axis0(0).unwrap();
         for b in 1..3 {
@@ -170,12 +137,12 @@ mod tests {
     #[test]
     fn gradients_reach_conv_and_cls() {
         let mut r = rng(3);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::randn(&[2, 3, 30], 1.0, &mut r));
-        embed.forward(&x).sum_all().backward();
-        assert!(embed.conv.weight.grad().unwrap().norm() > 0.0);
-        assert!(embed.cls.grad().unwrap().norm() > 0.0);
-        assert_eq!(embed.parameters().len(), 3);
+        let mut model = RitaModel::new(config(), &mut r);
+        let x = NdArray::randn(&[2, 3, 30], 1.0, &mut r);
+        embed(&mut model, &x, &mut r).sum_all().backward();
+        assert!(model.embedding.conv.weight.grad().unwrap().norm() > 0.0);
+        assert!(model.embedding.cls.grad().unwrap().norm() > 0.0);
+        assert_eq!(model.embedding.parameters().len(), 3);
     }
 
     #[test]
@@ -184,25 +151,33 @@ mod tests {
         // Regression: `len < window` used to underflow the usize subtraction in the
         // window arithmetic and die with an overflow panic instead of a clear error.
         let mut r = rng(5);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::zeros(&[1, 3, 3]));
-        let _ = embed.forward(&x);
+        let mut model = RitaModel::new(config(), &mut r);
+        let _ = embed(&mut model, &NdArray::zeros(&[1, 3, 3]), &mut r);
     }
 
     #[test]
     #[should_panic(expected = "shorter than the convolution window")]
     fn windows_for_rejects_short_series() {
+        // The graph-run entry sizes the input with `windows_for` before any kernel
+        // runs, so the oracle interpreter reports a short series as clearly as the
+        // training forward.
         let mut r = rng(6);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let _ = embed.windows_for(2);
+        let model = RitaModel::new(config(), &mut r);
+        let graph = build_graph(&model.config, TaskKind::Backbone, &[]);
+        let params = live_params(&model);
+        let _ = crate::graph::run_var(&graph, &NdArray::zeros(&[1, 3, 2]), &|name| {
+            if name == crate::graph::POSITIONAL {
+                return Some(model.embedding.positional().clone());
+            }
+            params.get(name).map(Var::to_array)
+        });
     }
 
     #[test]
     #[should_panic(expected = "channel mismatch")]
     fn rejects_wrong_channel_count() {
         let mut r = rng(4);
-        let embed = TimeConvEmbed::new(&config(), &mut r);
-        let x = Var::constant(NdArray::zeros(&[1, 5, 50]));
-        let _ = embed.forward(&x);
+        let mut model = RitaModel::new(config(), &mut r);
+        let _ = embed(&mut model, &NdArray::zeros(&[1, 5, 50]), &mut r);
     }
 }

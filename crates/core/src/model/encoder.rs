@@ -2,15 +2,16 @@
 //! pluggable (vanilla, group, Performer, Linformer), as required by the paper's
 //! evaluation methodology (§6.1, "Alternative Methods").
 
-use crate::attention::{build_attention, merge_heads, split_heads, Attention, GroupAttentionStats};
+use crate::attention::{build_attention, Attention, GroupAttentionStats};
 use crate::model::config::RitaConfig;
 use rand::Rng;
-use rita_nn::layers::{Dropout, FeedForward, LayerNorm, Linear};
-use rita_nn::{BufferVisitor, BufferVisitorMut, Module, ParamVisitor, Var};
+use rita_nn::layers::{FeedForward, LayerNorm, Linear};
+use rita_nn::{BufferVisitor, BufferVisitorMut, Module, ParamVisitor};
 
-/// One encoder layer: multi-head (pluggable) attention + feed-forward, each wrapped in a
-/// residual connection and layer normalisation (post-norm, as in the original
-/// Transformer and TST).
+/// One encoder layer's parameters and attention state: multi-head (pluggable) attention
+/// and a feed-forward block, each wrapped in a residual connection and layer
+/// normalisation (post-norm, as in the original Transformer and TST). The forward is the
+/// graph's `encoder.layers.{i}` block ([`crate::graph::build_graph`]).
 pub struct EncoderLayer {
     q_proj: Linear,
     k_proj: Linear,
@@ -21,8 +22,6 @@ pub struct EncoderLayer {
     norm1: LayerNorm,
     norm2: LayerNorm,
     ff: FeedForward,
-    dropout: Dropout,
-    heads: usize,
 }
 
 impl EncoderLayer {
@@ -43,21 +42,7 @@ impl EncoderLayer {
             norm1: LayerNorm::new(d),
             norm2: LayerNorm::new(d),
             ff: FeedForward::new(d, config.ff_hidden, config.dropout, rng),
-            dropout: Dropout::new(config.dropout),
-            heads: config.n_heads,
         }
-    }
-
-    /// Applies the layer to `(batch, units, d_model)` embeddings.
-    pub fn forward(&mut self, x: &Var, training: bool, rng: &mut impl Rng) -> Var {
-        let q = split_heads(&self.q_proj.forward(x), self.heads);
-        let k = split_heads(&self.k_proj.forward(x), self.heads);
-        let v = split_heads(&self.v_proj.forward(x), self.heads);
-        let attended = merge_heads(&self.attention.forward(&q, &k, &v));
-        let attended = self.dropout.forward(&self.out_proj.forward(&attended), training, rng);
-        let x = self.norm1.forward(&x.add(&attended));
-        let ff_out = self.dropout.forward(&self.ff.forward(&x, training, rng), training, rng);
-        self.norm2.forward(&x.add(&ff_out))
     }
 }
 
@@ -93,15 +78,6 @@ impl RitaEncoder {
     pub fn new(config: &RitaConfig, rng: &mut impl Rng) -> Self {
         let layers = (0..config.n_layers).map(|_| EncoderLayer::new(config, rng)).collect();
         Self { layers }
-    }
-
-    /// Applies every layer in sequence.
-    pub fn forward(&mut self, x: &Var, training: bool, rng: &mut impl Rng) -> Var {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, training, rng);
-        }
-        h
     }
 
     /// Group-attention statistics per layer (empty entries for non-group layers).
@@ -180,19 +156,23 @@ impl Module for RitaEncoder {
 mod tests {
     use super::*;
     use crate::attention::AttentionKind;
+    use crate::model::RitaModel;
     use rand::SeedableRng;
+    use rita_nn::Var;
     use rita_tensor::{NdArray, SeedableRng64};
 
     fn rng(seed: u64) -> SeedableRng64 {
         SeedableRng64::seed_from_u64(seed)
     }
 
+    /// Encodes a `(2, 3, 60)` batch — 12 windows plus `[CLS]`, so the encoder stack
+    /// sees `(2, 13, 16)` embeddings.
     fn run_encoder(kind: AttentionKind) -> Var {
         let mut r = rng(0);
         let config = RitaConfig::tiny(3, 60, kind);
-        let mut enc = RitaEncoder::new(&config, &mut r);
-        let x = Var::constant(NdArray::randn(&[2, 13, 16], 1.0, &mut r));
-        enc.forward(&x, false, &mut r)
+        let mut model = RitaModel::new(config, &mut r);
+        let x = NdArray::randn(&[2, 3, 60], 1.0, &mut r);
+        model.encode(&x, false, &mut r)
     }
 
     #[test]
@@ -217,11 +197,11 @@ mod tests {
             40,
             AttentionKind::Group { epsilon: 2.0, initial_groups: 4, adaptive: true },
         );
-        let mut enc = RitaEncoder::new(&config, &mut r);
-        let params = enc.parameters();
+        let mut model = RitaModel::new(config, &mut r);
+        let params = model.encoder.parameters();
         assert!(!params.is_empty());
-        let x = Var::constant(NdArray::randn(&[2, 9, 16], 1.0, &mut r));
-        enc.forward(&x, true, &mut r).sum_all().backward();
+        let x = NdArray::randn(&[2, 3, 40], 1.0, &mut r);
+        model.encode(&x, true, &mut r).sum_all().backward();
         let with_grad = params.iter().filter(|p| p.grad().is_some()).count();
         // Every projection / norm / FF parameter should receive a gradient.
         assert!(with_grad as f32 >= params.len() as f32 * 0.9, "{with_grad}/{}", params.len());
@@ -231,19 +211,23 @@ mod tests {
     fn group_stats_reported_only_for_group_layers() {
         let mut r = rng(2);
         let group_cfg = RitaConfig::tiny(3, 40, AttentionKind::default_group());
-        let mut enc = RitaEncoder::new(&group_cfg, &mut r);
-        assert_eq!(enc.mean_group_count(), Some(0.0), "no forward pass yet means zero groups used");
-        let x = Var::constant(NdArray::randn(&[1, 9, 16], 1.0, &mut r));
-        let _ = enc.forward(&x, false, &mut r);
-        assert!(enc.mean_group_count().is_some());
-        enc.set_group_count(3);
-        let _ = enc.forward(&x, false, &mut r);
-        assert_eq!(enc.mean_group_count().unwrap(), 3.0);
+        let mut model = RitaModel::new(group_cfg, &mut r);
+        assert_eq!(
+            model.encoder.mean_group_count(),
+            Some(0.0),
+            "no forward pass yet means zero groups used"
+        );
+        let x = NdArray::randn(&[1, 3, 40], 1.0, &mut r);
+        let _ = model.encode(&x, false, &mut r);
+        assert!(model.encoder.mean_group_count().is_some());
+        model.encoder.set_group_count(3);
+        let _ = model.encode(&x, false, &mut r);
+        assert_eq!(model.encoder.mean_group_count().unwrap(), 3.0);
 
         let vanilla_cfg = RitaConfig::tiny(3, 40, AttentionKind::Vanilla);
-        let mut vanilla_enc = RitaEncoder::new(&vanilla_cfg, &mut r);
-        let _ = vanilla_enc.forward(&x, false, &mut r);
-        assert!(vanilla_enc.mean_group_count().is_none());
+        let mut vanilla = RitaModel::new(vanilla_cfg, &mut r);
+        let _ = vanilla.encode(&x, false, &mut r);
+        assert!(vanilla.encoder.mean_group_count().is_none());
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! The assembled RITA model: time-aware convolution embedding + encoder stack (Fig. 1).
 
+use std::collections::HashMap;
+
 use crate::attention::GroupAttentionStats;
+use crate::checkpoint::TaskKind;
+use crate::graph::{self, live_params, run_model};
 use crate::model::config::RitaConfig;
 use crate::model::embedding::TimeConvEmbed;
 use crate::model::encoder::RitaEncoder;
@@ -34,23 +38,24 @@ impl RitaModel {
 
     /// Encodes a batch of raw series into contextual embeddings (CLS at position 0).
     pub fn encode(&mut self, x: &NdArray, training: bool, rng: &mut impl Rng) -> Var {
-        let input = Var::constant(x.clone());
-        let embedded = self.embedding.forward(&input);
-        self.encoder.forward(&embedded, training, rng)
+        let params = live_params(&*self);
+        self.run(TaskKind::Backbone, &params, x, training, rng)
     }
 
-    /// The `[CLS]` representation of each series: `(batch, d_model)`.
-    pub fn encode_cls(&mut self, x: &NdArray, training: bool, rng: &mut impl Rng) -> Var {
-        let h = self.encode(x, training, rng);
-        let shape = h.shape();
-        h.slice_axis(1, 0, 1).reshape(&[shape[0], shape[2]])
-    }
-
-    /// The per-window representations (CLS dropped): `(batch, windows, d_model)`.
-    pub fn encode_windows(&mut self, x: &NdArray, training: bool, rng: &mut impl Rng) -> Var {
-        let h = self.encode(x, training, rng);
-        let shape = h.shape();
-        h.slice_axis(1, 1, shape[1])
+    /// Runs `task`'s forward graph on `x` — with dropout nodes when `training` — binding
+    /// `params`, the live parameters of the task module owning this backbone, by path
+    /// (see `graph::run_model`). The one forward behind `encode` and every task head.
+    pub(crate) fn run(
+        &mut self,
+        task: TaskKind,
+        params: &HashMap<String, Var>,
+        x: &NdArray,
+        training: bool,
+        rng: &mut impl Rng,
+    ) -> Var {
+        let dropout = if training { self.config.dropout } else { 0.0 };
+        let graph = graph::emit(&self.config, task, &self.scheduler_state(), dropout);
+        run_model(&graph, x, params, self, rng)
     }
 
     /// Per-layer group-attention statistics (for the scheduler experiments).
@@ -123,6 +128,7 @@ mod tests {
     use super::*;
     use crate::attention::AttentionKind;
     use rand::SeedableRng;
+    use rita_nn::graph::Op;
     use rita_tensor::SeedableRng64;
 
     fn rng(seed: u64) -> SeedableRng64 {
@@ -136,8 +142,16 @@ mod tests {
         let mut model = RitaModel::new(config, &mut r);
         let x = NdArray::randn(&[4, 3, 60], 1.0, &mut r);
         assert_eq!(model.encode(&x, false, &mut r).shape(), vec![4, 13, 16]);
-        assert_eq!(model.encode_cls(&x, false, &mut r).shape(), vec![4, 16]);
-        assert_eq!(model.encode_windows(&x, false, &mut r).shape(), vec![4, 12, 16]);
+        // The `[CLS]` and per-window views the task heads read: the backbone graph
+        // extended by one view node.
+        let params = live_params(&model);
+        let mut view = |op: Op| {
+            let mut graph = graph::build_graph(&model.config, TaskKind::Backbone, &[]);
+            graph.output = graph.push("view", op, vec![graph.output]);
+            run_model(&graph, &x, &params, &mut model, &mut r).shape()
+        };
+        assert_eq!(view(Op::ClsPool), vec![4, 16]);
+        assert_eq!(view(Op::SliceWindows), vec![4, 12, 16]);
         assert!(model.mean_group_count().is_some());
     }
 
@@ -157,8 +171,12 @@ mod tests {
         let mut model = RitaModel::new(RitaConfig::tiny(1, 30, AttentionKind::Vanilla), &mut r);
         let a = NdArray::randn(&[1, 1, 30], 1.0, &mut r);
         let b = NdArray::randn(&[1, 1, 30], 1.0, &mut r);
-        let ca = model.encode_cls(&a, false, &mut r).to_array();
-        let cb = model.encode_cls(&b, false, &mut r).to_array();
+        // The [CLS] representation is row 0 of the encoder output.
+        let mut cls = |x: &NdArray| {
+            let h = model.encode(x, false, &mut r).to_array();
+            h.index_axis0(0).unwrap().index_axis0(0).unwrap()
+        };
+        let (ca, cb) = (cls(&a), cls(&b));
         assert!(ca.sub(&cb).unwrap().norm() > 1e-4);
     }
 }

@@ -1,6 +1,8 @@
 //! Timeseries classification (Appendix A.7.1): the `[CLS]` representation is fed into a
 //! linear classifier trained with cross entropy.
 
+use crate::checkpoint::TaskKind;
+use crate::graph::live_params;
 use crate::model::{RitaConfig, RitaModel};
 use crate::tasks::trainer::{timed, train_task, TrainConfig, TrainReport, TrainTask};
 use rand::Rng;
@@ -35,10 +37,12 @@ impl Classifier {
         Self { model, head, num_classes }
     }
 
-    /// Class logits for a raw batch `(batch, channels, length)`.
+    /// Class logits for a raw batch `(batch, channels, length)`: the classifier graph's
+    /// `[CLS]` pooling and linear head over the backbone.
     pub fn logits(&mut self, x: &NdArray, training: bool, rng: &mut impl Rng) -> Var {
-        let cls = self.model.encode_cls(x, training, rng);
-        self.head.forward(&cls)
+        let task = TaskKind::Classifier { num_classes: self.num_classes };
+        let params = live_params(&*self);
+        self.model.run(task, &params, x, training, rng)
     }
 
     /// Trains for `config.epochs` epochs through the shared adaptive engine

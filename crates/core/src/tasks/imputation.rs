@@ -5,6 +5,8 @@
 //! a transpose-convolution-style head (a linear map per window followed by a fold), and a
 //! masked mean-squared error over the missing positions is minimised.
 
+use crate::checkpoint::TaskKind;
+use crate::graph::live_params;
 use crate::model::{RitaConfig, RitaModel};
 use crate::tasks::trainer::{timed, train_task, TrainConfig, TrainReport, TrainTask};
 use rand::Rng;
@@ -37,15 +39,12 @@ impl Imputer {
         Self { model, decoder }
     }
 
-    /// Reconstructs the full series from the observed (masked) input.
+    /// Reconstructs the full series from the observed (masked) input: the imputer
+    /// graph's per-window decoder and fold over the backbone.
     /// Input and output are `(batch, channels, length)`.
     pub fn reconstruct(&mut self, observed: &NdArray, training: bool, rng: &mut impl Rng) -> Var {
-        let shape = observed.shape().to_vec();
-        let length = shape[2];
-        let config = self.model.config;
-        let windows = self.model.encode_windows(observed, training, rng); // (B, n, d)
-        let decoded = self.decoder.forward(&windows); // (B, n, c*w)
-        decoded.fold1d(config.channels, config.window, config.stride, length)
+        let params = live_params(&*self);
+        self.model.run(TaskKind::Imputer, &params, observed, training, rng)
     }
 
     /// Masked-MSE loss of one batch.

@@ -18,9 +18,11 @@
 //! ## Bit-identical by construction
 //!
 //! The plan interpreter calls the *same tensor kernels in the same order* as the `Var`
-//! forward pass (layer norm as sum → scale → sub → square → …, attention through the
-//! fused streaming kernel, grouping through `rita_core::group::group_key_blocks`) —
-//! both interpret the *same graph*, so there is no hand-kept mirror to drift. Pooled
+//! interpreter in `rita_core::graph`, which is the model's training forward (layer norm
+//! through `rita_nn::layers::layer_norm`, attention through each mechanism's shared
+//! `attend` function and the fused streaming kernel, grouping through
+//! `rita_core::group::group_key_blocks`) — both interpret the *same graph*, emitted by
+//! `rita_core::graph::build_graph`, the model's only definition. Pooled
 //! buffers are re-zeroed before reuse, and fusion only merges nodes whose kernel
 //! sequence is unchanged. The result is bit-identical to a `no_grad` `Var` forward —
 //! the property `tests/infer_parity.rs` and `tests/plan_executor.rs` pin at 0 ulp

@@ -1,14 +1,13 @@
 //! The servable model: a checkpoint bound onto the static forward graph, plus a cache
 //! of compiled execution plans per `(batch, length)` shape bucket.
 //!
-//! There is no hand-written forward here any more. `rita_core::graph::build_graph`
-//! emits the same graph the training module tree defines (node IDs are the
-//! checkpoint's own tensor paths), a peephole pass folds matmul+bias and
+//! There is no hand-written forward here. `rita_core::graph::build_graph` emits the
+//! model's one definition — the graph the training forward also runs (node IDs are the
+//! checkpoint's own tensor paths) — a peephole pass folds matmul+bias and
 //! unfold+projection chains into fused nodes, and `crate::plan` interprets the
 //! compiled plan with raw [`NdArray`] kernels. Bit-parity with a `no_grad` training
-//! forward is a property of the shared graph and kernels — pinned by
-//! `tests/infer_parity.rs` and the `Var` oracle interpreter — not of a mirror kept in
-//! sync by hand.
+//! forward is a property of the shared graph and op functions — pinned by
+//! `tests/infer_parity.rs` and the `Var` oracle interpreter.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -2,8 +2,9 @@
 //! [`NdArray`] kernels.
 //!
 //! Each node executor calls exactly the tensor kernels, in exactly the order, that the
-//! training modules (and the `no_grad` `Var` oracle in `rita_core::graph`) call — that,
-//! plus re-zeroing pooled buffers on reuse, is what makes planned execution
+//! `Var` interpreter in `rita_core::graph` calls for the same op (the shared op
+//! functions `rita_nn::layers::layer_norm` and each attention mechanism's `attend`) —
+//! that, plus re-zeroing pooled buffers on reuse, is what makes planned execution
 //! bit-identical to the training forward. The plan's ahead-of-time lifetime pass tells
 //! the executor when each activation is dead, so buffers return to the thread-local
 //! pool at their last use, and [`rita_tensor::pool_reserve`] pre-sizes the pool from
@@ -19,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Arc;
 
+use rita_core::attention::group::effective_group_count;
 use rita_core::group::group_key_blocks;
 use rita_nn::graph::{AttnOp, Graph, Node, Op, Plan, PlanError, ValueId};
 use rita_tensor::{fused_attention, fused_attention_bf16_kv, NdArray, QuantMatrix};
@@ -257,7 +259,7 @@ fn exec_node(
             }
         }
         Op::ClsConcatPos => {
-            // Mirrors the tail of `TimeConvEmbed::forward`.
+            // The `Var` interpreter's `ClsConcatPos` chain in `rita_core::graph`.
             let embedded = &ins[0];
             let shape = embedded.shape();
             let (batch, n, d) = (shape[0], shape[1], shape[2]);
@@ -273,8 +275,8 @@ fn exec_node(
             Ok(out)
         }
         Op::LayerNorm { eps } => {
-            // Mirrors `LayerNorm::forward`: mean/variance as sum → scale, the same
-            // broadcast chain, no fusing.
+            // `rita_nn::layers::layer_norm`'s chain: mean/variance as sum → scale, the
+            // same broadcast chain, no fusing.
             let x = &ins[0];
             let last = x.ndim() - 1;
             let n = x.shape()[last].max(1) as f32;
@@ -308,6 +310,7 @@ fn exec_node(
             Ok(ins[0].map(|x| 0.5 * x * (1.0 + (C * (x + A * x * x * x)).tanh())))
         }
         Op::Add => ins[0].add(&ins[1]).map_err(|e| node_err(node, e)),
+        Op::Dropout { .. } => Err(node_err(node, "dropout is a training-only op")),
         Op::SplitHeads { heads } => {
             // `split_heads`: (b, n, d) → (b, h, n, d/h), a pure view chain.
             let shape = ins[0].shape().to_vec();
@@ -347,8 +350,8 @@ fn exec_node(
     }
 }
 
-/// Mirrors the corresponding `Attention::forward` on head-split
-/// `(batch, heads, windows, head_dim)` tensors.
+/// Runs the mechanism's shared `attend` function (`rita_core::attention::*::attend`)
+/// with raw kernels on head-split `(batch, heads, windows, head_dim)` tensors.
 fn exec_attention(
     node: &Node,
     attn: &AttnOp,
@@ -370,9 +373,8 @@ fn exec_attention(
         AttnOp::Group { n_groups, min_groups, kmeans_iters } => {
             let shape = q.shape();
             let (b, h, n) = (shape[0], shape[1], shape[2]);
-            // `GroupAttention::effective_groups`: clamp the persistent target to this
-            // batch's window count.
-            let groups = (n_groups.round() as usize).clamp((*min_groups).min(n), n);
+            // Clamp the persistent target to this batch's window count.
+            let groups = effective_group_count(*n_groups, *min_groups, n);
             let groupings = group_key_blocks(k, groups, *kmeans_iters);
             let mut counts_flat = Vec::with_capacity(b * h * groups);
             for g in &groupings {
@@ -402,7 +404,7 @@ fn exec_attention(
             Ok(out)
         }
         AttnOp::Performer { features } => {
-            // Mirrors `PerformerAttention::forward` + `feature_map`.
+            // `rita_core::attention::performer::attend` and its feature map.
             let omega = &ins[3];
             let scale = dh.powf(-0.25);
             let feature_map = |x: &NdArray| -> Result<NdArray, InferError> {

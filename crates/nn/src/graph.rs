@@ -1,6 +1,6 @@
 //! A small static graph IR for the RITA forward pass: one graph, two interpreters.
 //!
-//! The training module tree *emits* this graph once (node IDs are the dot-separated
+//! `rita_core::graph::build_graph` emits this graph once (node IDs are the dot-separated
 //! parameter paths the [`crate::module`] visitors already produce), a topological
 //! scheduler orders it, and [`Graph::compile`] runs an ahead-of-time shape and lifetime
 //! pass per `(batch, length)` bucket so the executor knows, before the first kernel
@@ -9,11 +9,13 @@
 //!
 //! The IR is deliberately tiny: single-output nodes, a fixed op vocabulary covering the
 //! RITA forward (window embedding, encoder layers with four attention variants, task
-//! heads), and values that are either the run input, a named parameter, a deterministic
-//! table, or a node output. Interpreters live downstream: `rita-core` walks a plan with
-//! `no_grad` [`crate::Var`] ops (the exactness oracle), `rita-infer` walks the same
-//! plan with raw `NdArray` kernels (the serving path). Because both execute the same
-//! schedule over the same kernels, their outputs are bit-identical by construction.
+//! heads, and training-only dropout), and values that are either the run input, a named
+//! parameter, a deterministic table, or a node output. Interpreters live downstream:
+//! `rita-core` walks the graph with [`crate::Var`] ops (with autograd this is the
+//! model's training forward; under `no_grad` it is the checkpoint exactness oracle),
+//! and `rita-infer` walks a compiled plan with raw `NdArray` kernels (the serving path).
+//! Because both execute the same schedule over the same kernels, their outputs are
+//! bit-identical by construction.
 
 use std::collections::HashSet;
 
@@ -116,6 +118,12 @@ pub enum Op {
     },
     /// `inputs: [x]` — tanh-approximation GELU.
     Gelu,
+    /// `inputs: [x]` — inverted dropout with drop probability `p`. Emitted only into
+    /// training graphs, so inference plans never contain it.
+    Dropout {
+        /// Drop probability.
+        p: f32,
+    },
     /// `inputs: [a, b]` — broadcasting elementwise add (residual connections).
     Add,
     /// `inputs: [x]` — `(b, n, d) → (b, heads, n, d/heads)`; a pure view.
@@ -234,7 +242,7 @@ impl Op {
                 }
                 Ok(x.to_vec())
             }
-            Op::Gelu => {
+            Op::Gelu | Op::Dropout { .. } => {
                 let [x] = expect_inputs::<1>(inputs)?;
                 Ok(x.to_vec())
             }

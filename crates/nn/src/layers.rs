@@ -73,8 +73,8 @@ pub struct LayerNorm {
 }
 
 impl LayerNorm {
-    /// The epsilon `new` installs — the single value the tape-free inference mirror
-    /// must agree with (it is not checkpointed).
+    /// The epsilon `new` installs — the value the forward graph's `LayerNorm` nodes
+    /// carry (it is not checkpointed).
     pub const DEFAULT_EPS: f32 = 1e-5;
 
     /// Creates a layer norm over a last dimension of size `d`.
@@ -88,13 +88,19 @@ impl LayerNorm {
 
     /// Normalises the last dimension of `x`.
     pub fn forward(&self, x: &Var) -> Var {
-        let last = x.shape().len() - 1;
-        let mean = x.mean_axis(last);
-        let centered = x.sub(&mean);
-        let var = centered.square().mean_axis(last);
-        let denom = var.add_scalar(self.eps).sqrt();
-        centered.div(&denom).mul(&self.gamma).add(&self.beta)
+        layer_norm(x, &self.gamma, &self.beta, self.eps)
     }
+}
+
+/// Layer normalisation of the last dimension of `x`, `(x - μ)/√(σ² + ε) · γ + β` — the
+/// one op chain behind [`LayerNorm::forward`] and the graph's `LayerNorm` node.
+pub fn layer_norm(x: &Var, gamma: &Var, beta: &Var, eps: f32) -> Var {
+    let last = x.shape().len() - 1;
+    let mean = x.mean_axis(last);
+    let centered = x.sub(&mean);
+    let var = centered.square().mean_axis(last);
+    let denom = var.add_scalar(eps).sqrt();
+    centered.div(&denom).mul(gamma).add(beta)
 }
 
 impl Module for LayerNorm {

@@ -11,8 +11,8 @@
 //! * [`layers`] — `Linear`, `LayerNorm`, `BatchNorm1d`, `Dropout`, `FeedForward` and the
 //!   [`Module`] trait.
 //! * [`graph`] — a static forward-graph IR (nodes with stable parameter-path IDs,
-//!   topological scheduling, ahead-of-time shape/lifetime planning) that downstream
-//!   crates emit from module trees and interpret.
+//!   topological scheduling, ahead-of-time shape/lifetime planning) that `rita-core`
+//!   emits as the model's one definition and downstream crates interpret.
 //! * [`optim`] — `Sgd` and `AdamW` optimisers plus gradient clipping.
 //! * [`loss`] — cross entropy, MSE and masked MSE (the cloze-pretraining loss).
 //! * [`gradcheck`] — finite-difference gradient verification used by the test-suites of

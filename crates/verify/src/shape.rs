@@ -191,7 +191,7 @@ pub(crate) fn derive(op: &Op, ins: &[&[usize]], run_input: &[usize]) -> ShapeRes
                 None => Err("layer-norm input is rank 0".to_string()),
             }
         }
-        Op::Gelu => {
+        Op::Gelu | Op::Dropout { .. } => {
             want_arity(ins, 1)?;
             Ok(ins[0].to_vec())
         }
