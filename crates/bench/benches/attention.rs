@@ -3,10 +3,6 @@
 //! speed-up claim — group attention's advantage over vanilla attention should widen with
 //! the sequence length.
 //!
-//! Variants named `*_unfused` run the materialised score/softmax oracle chains; the
-//! unsuffixed variants run the fused streaming kernels (the defaults), so every run
-//! measures the fusion win directly.
-//!
 //! Besides the human-readable table on stdout, the run writes every measurement to
 //! `BENCH_attention.json` (config, n, mean, min per variant) so the perf trajectory
 //! tracked in `CHANGES.md` is diffable across PRs. `RITA_QUICK=1` shrinks the sweep to
@@ -15,8 +11,8 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rita_core::attention::{
-    Attention, AttentionKind, GroupAttention, GroupAttentionConfig, LinformerAttention,
-    PerformerAttention, VanillaAttention,
+    Attention, GroupAttention, GroupAttentionConfig, LinformerAttention, PerformerAttention,
+    VanillaAttention,
 };
 use rita_nn::{no_grad, Var};
 use rita_tensor::{NdArray, SeedableRng64};
@@ -43,14 +39,8 @@ fn qkv(n: usize, dh: usize, seed: u64) -> (Var, Var, Var) {
     (q, k, v)
 }
 
-fn group_config(initial_groups: usize, unfused: bool, dense: bool) -> GroupAttentionConfig {
-    GroupAttentionConfig {
-        initial_groups,
-        adaptive: false,
-        unfused,
-        dense_matrices: dense,
-        ..Default::default()
-    }
+fn group_config(initial_groups: usize) -> GroupAttentionConfig {
+    GroupAttentionConfig { initial_groups, adaptive: false, ..Default::default() }
 }
 
 fn bench_attention_forward(c: &mut Criterion) {
@@ -65,24 +55,8 @@ fn bench_attention_forward(c: &mut Criterion) {
             let mut attn = VanillaAttention::new();
             b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
-        group.bench_with_input(BenchmarkId::new("vanilla_unfused", n), &n, |b, _| {
-            // The pre-fusion chain (materialised scores + softmax), kept as the perf
-            // baseline for the fused kernel above.
-            let mut attn = VanillaAttention::unfused();
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
         group.bench_with_input(BenchmarkId::new("group", n), &n, |b, _| {
-            let mut attn = GroupAttention::new(group_config(groups, false, false));
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_unfused", n), &n, |b, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, false));
-            b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_dense", n), &n, |b, _| {
-            // The pre-sparse-pipeline formulation (dense one-hot grouping matrices),
-            // kept as the perf baseline for the segment-sum default above.
-            let mut attn = GroupAttention::new(group_config(groups, true, true));
+            let mut attn = GroupAttention::new(group_config(groups));
             b.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
         group.bench_with_input(BenchmarkId::new("performer", n), &n, |b, _| {
@@ -97,8 +71,6 @@ fn bench_attention_forward(c: &mut Criterion) {
         });
     }
     group.finish();
-    // Silence "unused" warnings for the kinds enum re-export used only at compile time.
-    let _ = AttentionKind::Vanilla.name();
 }
 
 /// Multi-head configuration: exercises the head-split views and the batched kernels'
@@ -133,20 +105,8 @@ fn bench_attention_forward_multihead(c: &mut Criterion) {
             let mut attn = VanillaAttention::new();
             bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
-        group.bench_with_input(BenchmarkId::new("vanilla_unfused", n), &n, |bch, _| {
-            let mut attn = VanillaAttention::unfused();
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
         group.bench_with_input(BenchmarkId::new("group", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, false, false));
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_unfused", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, false));
-            bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
-        });
-        group.bench_with_input(BenchmarkId::new("group_dense", n), &n, |bch, _| {
-            let mut attn = GroupAttention::new(group_config(groups, true, true));
+            let mut attn = GroupAttention::new(group_config(groups));
             bch.iter(|| no_grad(|| attn.forward(&q, &k, &v).to_array()));
         });
     }

@@ -15,20 +15,23 @@
 //! shrinks whenever clusters can be merged without violating the user's error bound ε
 //! (Lemmas 1 & 2), with a momentum update smoothing the trajectory.
 //!
-//! The grouping constants are applied **sparsely** by default: instead of materialising
-//! the one-hot `(N, n)` averaging/summation matrices per `(batch, head)` and paying two
-//! `O(N·n·d)` products, the representatives and aggregated values are computed with one
-//! `segment_sum` each (`O(n·d)`, keeping the total grouped-attention cost dominated by
-//! the `n×N` score/output products exactly as §4.4 intends). The dense matrix
-//! formulation survives behind [`GroupAttentionConfig::dense_matrices`] as the
-//! exactness oracle.
+//! The grouping constants are applied **sparsely**: instead of materialising the one-hot
+//! `(N, n)` averaging/summation matrices per `(batch, head)` and paying two `O(N·n·d)`
+//! products, the representatives and aggregated values are computed with one
+//! `segment_sum` each (`O(n·d)`), and the group softmax runs through the fused streaming
+//! kernel, so the total cost stays dominated by the `n×N` score/output products exactly
+//! as §4.4 intends. This is the only formulation. Its reference is the paper's own
+//! identity (§4.2, Appendix A.4): the result equals canonical attention over the
+//! *expanded* keys, every key replaced by its group's representative, which the
+//! integration tests build densely and compare against.
 
 use super::Attention;
-use crate::group::{group_key_blocks, Grouping};
+use crate::group::{group_key_blocks, GroupLayout, Grouping};
 use crate::scheduler::error_bound::{distance_threshold, key_ball_radius};
 use crate::scheduler::merge::{mergeable_count, momentum_update};
 use rita_nn::Var;
 use rita_tensor::NdArray;
+use std::sync::Arc;
 
 /// Configuration of a group-attention module.
 #[derive(Debug, Clone, Copy)]
@@ -46,17 +49,6 @@ pub struct GroupAttentionConfig {
     pub kmeans_iters: usize,
     /// Momentum α of the group-count update.
     pub momentum_alpha: f32,
-    /// Use the dense `(N, n)` averaging/summation constant matrices instead of the
-    /// sparse segment-sum pipeline. The dense formulation costs `O(N·n·d)` per
-    /// `(batch, head)` in the two constant products and materialises `(b, h, N, n)`
-    /// buffers; it is kept purely as the exactness oracle the property tests compare
-    /// the sparse default against. Implies the unfused score/softmax chain.
-    pub dense_matrices: bool,
-    /// Compute the group softmax through the explicit `Q·Rᵀ → weighted softmax → ·Ṽ`
-    /// chain instead of the fused streaming kernel (which folds the `count_k` weights
-    /// into its online-softmax denominator and never materialises the `(b, h, n, N)`
-    /// score matrix). Kept as the exactness oracle, mirroring `dense_matrices`.
-    pub unfused: bool,
 }
 
 impl Default for GroupAttentionConfig {
@@ -68,8 +60,6 @@ impl Default for GroupAttentionConfig {
             adaptive: true,
             kmeans_iters: 2,
             momentum_alpha: 0.5,
-            dense_matrices: false,
-            unfused: false,
         }
     }
 }
@@ -159,37 +149,25 @@ pub fn effective_group_count(target: f32, min_groups: usize, n_windows: usize) -
     (target.round() as usize).clamp(min_groups.min(n_windows), n_windows)
 }
 
-/// Per-group member counts (block-major over batch × heads), then the representative
-/// keys R (per-group means of K) and aggregated values Ṽ (per-group sums of V), both
-/// `(batch, heads, N, dh)`, as one segment sum each — `O(n·dh)` per `(batch, head)`
-/// with no `(N, n)` intermediate.
-fn segment_constants(k: &Var, v: &Var, groupings: &[Grouping], n: usize) -> (Vec<f32>, Var, Var) {
-    let shape = k.shape();
-    let counts: Vec<f32> =
-        groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
-    let inv_counts = NdArray::from_vec(
-        counts.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-        &[shape[0], shape[1], n, 1],
-    )
-    .expect("inverse counts batch");
-    // Flat group assignments, block-major over batch×heads — the layout `segment_sum`
-    // consumes. One shared allocation feeds both segment sums (and their backward
-    // closures) instead of two copies.
-    let segments: std::sync::Arc<[usize]> =
-        groupings.iter().flat_map(|g| g.assignments.iter().copied()).collect::<Vec<_>>().into();
-    let representatives = k.segment_sum(segments.clone(), n).mul(&Var::constant(inv_counts));
-    (counts, representatives, v.segment_sum(segments, n))
-}
-
 /// Group attention over a fixed grouping of the keys through the fused streaming
-/// kernel — the op behind both [`GroupAttention`]'s default path and the graph's group
-/// attention node. The `count_k` weights are folded into the kernel's online-softmax
-/// denominator (the group softmax, Eq. 3), so the `(b, h, n, N)` score matrix is never
-/// materialised and the backward recomputes per-tile scores.
+/// kernel — the op behind both [`GroupAttention`]'s forward and the graph's group
+/// attention node. The representative keys R (per-group means of K) and aggregated
+/// values Ṽ (per-group sums of V), both `(batch, heads, N, dh)`, cost one segment sum
+/// each — `O(n·dh)` per `(batch, head)` with no `(N, n)` intermediate. The `count_k`
+/// weights are folded into the kernel's online-softmax denominator (the group softmax,
+/// Eq. 3), so the `(b, h, n, N)` score matrix is never materialised and the backward
+/// recomputes per-tile scores.
 pub fn attend(q: &Var, k: &Var, v: &Var, groupings: &[Grouping], n_groups: usize) -> Var {
     let shape = q.shape();
-    let (counts, representatives, aggregated) = segment_constants(k, v, groupings, n_groups);
-    let weights = NdArray::from_vec(counts, &[shape[0], shape[1], n_groups]).expect("counts");
+    let (b, h) = (shape[0], shape[1]);
+    let GroupLayout { counts, inv_counts, segments } = GroupLayout::new(groupings);
+    let inv_counts = NdArray::from_vec(inv_counts, &[b, h, n_groups, 1]).expect("inverse counts");
+    // One shared allocation of the assignments feeds both segment sums (and their
+    // backward closures).
+    let segments: Arc<[usize]> = segments.into();
+    let representatives = k.segment_sum(segments.clone(), n_groups).mul(&Var::constant(inv_counts));
+    let aggregated = v.segment_sum(segments, n_groups);
+    let weights = NdArray::from_vec(counts, &[b, h, n_groups]).expect("counts");
     let scale = 1.0 / (shape[3] as f32).sqrt();
     q.fused_group_attention(&representatives, &aggregated, scale, weights)
 }
@@ -198,8 +176,7 @@ impl Attention for GroupAttention {
     fn forward(&mut self, q: &Var, k: &Var, v: &Var) -> Var {
         let shape = q.shape();
         assert_eq!(shape.len(), 4, "group attention expects (batch, heads, windows, head_dim)");
-        let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
-        let n_groups = self.effective_groups(n);
+        let n_groups = self.effective_groups(shape[2]);
 
         // 1. Group the (detached) keys through the grouping entry point the tape-free
         //    inference engine also uses; grouping is a discrete decision, so no
@@ -209,41 +186,10 @@ impl Attention for GroupAttention {
         let keys_detached = k.to_array();
         let groupings = group_key_blocks(&keys_detached, n_groups, self.config.kmeans_iters);
 
-        // 2–5. The default is the shared fused sparse path ([`attend`]). The oracles
-        //    build R and Ṽ sparsely or — with `dense_matrices` — from the one-hot
-        //    `(N, n)` matrices the paper's formulation describes (paying the
-        //    `O(N·n·dh)` products), then run the explicit score → group softmax (Eq. 3)
-        //    → `·Ṽ` chain, computed stably by subtracting the detached row max: the
-        //    shift cancels between numerator and denominator, so the result (and its
-        //    gradient) is exactly the unshifted group softmax.
-        let output = if !self.config.dense_matrices && !self.config.unfused {
-            attend(q, k, v, &groupings, n_groups)
-        } else {
-            let (counts, representatives, aggregated) = if self.config.dense_matrices {
-                let mut avg = Vec::with_capacity(b * h * n_groups * n);
-                let mut sum = Vec::with_capacity(b * h * n_groups * n);
-                for g in &groupings {
-                    avg.extend_from_slice(g.averaging_matrix().as_slice());
-                    sum.extend_from_slice(g.sum_matrix().as_slice());
-                }
-                let avg = NdArray::from_vec(avg, &[b, h, n_groups, n]).expect("avg matrices");
-                let sum = NdArray::from_vec(sum, &[b, h, n_groups, n]).expect("sum matrices");
-                let counts = groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32));
-                (counts.collect(), Var::constant(avg).matmul(k), Var::constant(sum).matmul(v))
-            } else {
-                segment_constants(k, v, &groupings, n_groups)
-            };
-            let counts = NdArray::from_vec(counts, &[b, h, 1, n_groups]).expect("counts batch");
-            // The 1/√d is folded into the score product (one kernel pass, no scaled
-            // temporary).
-            let scores = q.matmul_nt_scaled(&representatives, 1.0 / (dh as f32).sqrt());
-            let row_max = scores.to_array().max_axis(3, true).expect("row max");
-            let exp = scores.sub(&Var::constant(row_max)).exp();
-            let denom = exp.mul(&Var::constant(counts)).sum_axis(3);
-            exp.div(&denom).matmul(&aggregated)
-        };
+        // 2. Group softmax and embedding aggregation through the shared fused path.
+        let output = attend(q, k, v, &groupings, n_groups);
 
-        // 6. Adaptive scheduling for the next iteration.
+        // 3. Adaptive scheduling for the next iteration.
         self.stats.current_groups = n_groups;
         self.stats.forward_calls += 1;
         self.update_scheduler(&groupings, &keys_detached);
@@ -451,9 +397,11 @@ mod tests {
         let _ = GroupAttention::new(GroupAttentionConfig { epsilon: 0.5, ..Default::default() });
     }
 
-    /// Forces the multi-worker grouping fan-out (which the single-CPU CI box never
-    /// triggers through `group_all`'s budget) and checks it reproduces the serial
-    /// clusterings block for block. k-means is deterministic, so equality is exact.
+    /// Forces the multi-worker grouping fan-out at explicit worker counts —
+    /// `group_key_blocks` derives its own count from the machine's worker budget and
+    /// the work size, so a small input on a 2-CPU machine never reaches these splits —
+    /// and checks it reproduces the serial clusterings block for block. k-means is
+    /// deterministic, so equality is exact.
     #[test]
     fn parallel_grouping_matches_serial() {
         use crate::group::group_key_blocks_threaded;

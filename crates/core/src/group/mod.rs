@@ -1,5 +1,6 @@
-//! Window grouping: the GPU-friendly k-means of §4.4 and the assignment matrices used by
-//! the embedding-aggregation / group-softmax computation of §4.2.
+//! Window grouping: the GPU-friendly k-means of §4.4, run per `(batch, head)` block, and
+//! the flat [`GroupLayout`] (counts, inverse counts, segment assignments) that feeds the
+//! embedding-aggregation / group-softmax computation of §4.2.
 
 pub mod kmeans;
 
@@ -68,4 +69,30 @@ pub fn group_key_blocks_threaded(
         });
     });
     results.into_iter().map(|g| g.expect("worker filled every slot")).collect()
+}
+
+/// The groupings of every `(batch, head)` block flattened block-major — the layout the
+/// segment-sum and fused group-attention kernels consume. The single builder shared by
+/// the training path (`attention::group::attend`) and the tape-free executor, so both
+/// feed the kernels identical constants.
+#[derive(Debug)]
+pub struct GroupLayout {
+    /// Member count of every group (the `count_k` weights of the group softmax), `b·h·N`
+    /// entries.
+    pub counts: Vec<f32>,
+    /// `1 / count_k` per group (the centroid mean's scale), `b·h·N` entries.
+    pub inv_counts: Vec<f32>,
+    /// Group index of every window, `b·h·n` entries.
+    pub segments: Vec<usize>,
+}
+
+impl GroupLayout {
+    /// Flattens `groupings` (one per `(batch, head)` block, in block order).
+    pub fn new(groupings: &[Grouping]) -> Self {
+        let counts: Vec<f32> =
+            groupings.iter().flat_map(|g| g.counts.iter().map(|&c| c as f32)).collect();
+        let inv_counts = counts.iter().map(|&c| 1.0 / c.max(1.0)).collect();
+        let segments = groupings.iter().flat_map(|g| g.assignments.iter().copied()).collect();
+        Self { counts, inv_counts, segments }
+    }
 }

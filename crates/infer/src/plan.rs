@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rita_core::attention::group::effective_group_count;
-use rita_core::group::group_key_blocks;
+use rita_core::group::{group_key_blocks, GroupLayout};
 use rita_nn::graph::{AttnOp, Graph, Node, Op, Plan, PlanError, ValueId};
 use rita_tensor::{fused_attention, fused_attention_bf16_kv, NdArray, QuantMatrix};
 
@@ -376,25 +376,15 @@ fn exec_attention(
             // Clamp the persistent target to this batch's window count.
             let groups = effective_group_count(*n_groups, *min_groups, n);
             let groupings = group_key_blocks(k, groups, *kmeans_iters);
-            let mut counts_flat = Vec::with_capacity(b * h * groups);
-            for g in &groupings {
-                counts_flat.extend(g.counts.iter().map(|&c| c as f32));
-            }
-            let inv_counts = NdArray::from_vec(
-                counts_flat.iter().map(|&c| 1.0 / c.max(1.0)).collect(),
-                &[b, h, groups, 1],
-            )
-            .map_err(|e| node_err(node, e))?;
-            let mut segments = Vec::with_capacity(b * h * n);
-            for g in &groupings {
-                segments.extend_from_slice(&g.assignments);
-            }
+            let GroupLayout { counts, inv_counts, segments } = GroupLayout::new(&groupings);
+            let inv_counts =
+                NdArray::from_vec(inv_counts, &[b, h, groups, 1]).map_err(|e| node_err(node, e))?;
             let rep_sum = k.segment_sum(&segments, groups).map_err(|e| node_err(node, e))?;
             let representatives = rep_sum.mul(&inv_counts).map_err(|e| node_err(node, e))?;
             reclaim(rep_sum);
             let aggregated = v.segment_sum(&segments, groups).map_err(|e| node_err(node, e))?;
             let weights =
-                NdArray::from_vec(counts_flat, &[b, h, groups]).map_err(|e| node_err(node, e))?;
+                NdArray::from_vec(counts, &[b, h, groups]).map_err(|e| node_err(node, e))?;
             let scale = 1.0 / dh.sqrt();
             let out = fused(q, &representatives, &aggregated, scale, Some(&weights))
                 .map_err(|e| node_err(node, e))?

@@ -1,13 +1,18 @@
 //! Property sweeps for the fused streaming attention kernels.
 //!
-//! Both attention paths default to the fused online-softmax kernel; the unfused chains
-//! survive behind `VanillaAttention::unfused` / `GroupAttentionConfig::unfused` as
-//! exactness oracles. For every configuration — including shapes that are not multiples
-//! of the kernel's tile sizes, `d_h = 1`, and strided head-split inputs — the fused
-//! output and all three input gradients must match the oracle within 1e-4 (the fused
-//! kernel uses a polynomial `exp` with ≈ 4e-6 relative error, and tiles its sums in a
-//! different association order).
+//! Each attention mechanism has one formulation, the fused online-softmax kernel; these
+//! sweeps pin it to a test-local reference. Vanilla attention is compared against the
+//! explicit `Q·Kᵀ → softmax → ·V` chain, group attention against the paper's
+//! expanded-key identity (`common::expanded_key_attention`, the same chain over keys
+//! replaced by their group representatives). For every configuration — including shapes
+//! that are not multiples of the kernel's tile sizes, `d_h = 1`, a single group, and
+//! strided head-split inputs — the fused output and all three input gradients must
+//! match the reference within 1e-4 (the fused kernel uses a polynomial `exp` with ≈ 4e-6
+//! relative error, and tiles its sums in a different association order).
 
+mod common;
+
+use common::expanded_key_attention;
 use rand::SeedableRng;
 use rita::core::attention::{
     split_heads, Attention, GroupAttention, GroupAttentionConfig, VanillaAttention,
@@ -19,44 +24,31 @@ fn rng(seed: u64) -> SeedableRng64 {
     SeedableRng64::seed_from_u64(seed)
 }
 
-/// Runs one vanilla forward + backward, returning the output and q/k/v gradients.
-fn run_vanilla(q: &NdArray, k: &NdArray, v: &NdArray, unfused: bool) -> (NdArray, [NdArray; 3]) {
+/// Runs `attend` forward + backward on fresh parameters, returning the output and q/k/v
+/// gradients.
+fn run(
+    q: &NdArray,
+    k: &NdArray,
+    v: &NdArray,
+    attend: impl FnOnce(&Var, &Var, &Var) -> Var,
+) -> (NdArray, [NdArray; 3]) {
     let (qv, kv, vv) =
         (Var::parameter(q.clone()), Var::parameter(k.clone()), Var::parameter(v.clone()));
-    let mut attn = if unfused { VanillaAttention::unfused() } else { VanillaAttention::new() };
-    let out = attn.forward(&qv, &kv, &vv);
+    let out = attend(&qv, &kv, &vv);
     out.sum_all().backward();
     (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
 }
 
-/// Runs one group forward + backward with a fixed group count.
-fn run_group(
-    q: &NdArray,
-    k: &NdArray,
-    v: &NdArray,
-    groups: usize,
-    unfused: bool,
-    dense: bool,
-) -> (NdArray, [NdArray; 3]) {
-    let (qv, kv, vv) =
-        (Var::parameter(q.clone()), Var::parameter(k.clone()), Var::parameter(v.clone()));
-    let mut attn = GroupAttention::new(GroupAttentionConfig {
-        initial_groups: groups,
-        adaptive: false,
-        kmeans_iters: 4,
-        unfused,
-        dense_matrices: dense,
-        ..Default::default()
-    });
-    let out = attn.forward(&qv, &kv, &vv);
-    out.sum_all().backward();
-    (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
+/// The unfused reference chain: materialised scores, softmax, then the value product.
+fn unfused_attention(q: &Var, k: &Var, v: &Var) -> Var {
+    let dh = *q.shape().last().unwrap() as f32;
+    q.matmul_nt_scaled(k, 1.0 / dh.sqrt()).softmax_last().matmul(v)
 }
 
 fn assert_close(label: &str, fused: &NdArray, oracle: &NdArray) {
     assert!(
         allclose(fused.as_slice(), oracle.as_slice(), 1e-4, 1e-4),
-        "{label}: fused and unfused disagree"
+        "{label}: fused kernel and reference disagree"
     );
 }
 
@@ -77,8 +69,8 @@ fn vanilla_fused_matches_unfused_across_shapes() {
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-        let (out_f, grads_f) = run_vanilla(&q, &k, &v, false);
-        let (out_u, grads_u) = run_vanilla(&q, &k, &v, true);
+        let (out_f, grads_f) = run(&q, &k, &v, |q, k, v| VanillaAttention::new().forward(q, k, v));
+        let (out_u, grads_u) = run(&q, &k, &v, unfused_attention);
         assert_close(&format!("out (b={b}, h={h}, n={n}, dh={dh})"), &out_f, &out_u);
         for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
             assert_close(&format!("{name} (b={b}, h={h}, n={n}, dh={dh})"), gf, gu);
@@ -95,29 +87,22 @@ fn vanilla_fused_matches_unfused_through_split_heads() {
     let q3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
     let k3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
     let v3 = NdArray::randn(&[b, n, d_model], 1.0, &mut r);
-    let run = |unfused: bool| {
-        let (qv, kv, vv) =
-            (Var::parameter(q3.clone()), Var::parameter(k3.clone()), Var::parameter(v3.clone()));
-        let mut attn = if unfused { VanillaAttention::unfused() } else { VanillaAttention::new() };
-        let out = attn.forward(
-            &split_heads(&qv, heads),
-            &split_heads(&kv, heads),
-            &split_heads(&vv, heads),
-        );
-        out.sum_all().backward();
-        (out.to_array(), [qv.grad().unwrap(), kv.grad().unwrap(), vv.grad().unwrap()])
+    let split = |attend: fn(&Var, &Var, &Var) -> Var| {
+        run(&q3, &k3, &v3, |q, k, v| {
+            attend(&split_heads(q, heads), &split_heads(k, heads), &split_heads(v, heads))
+        })
     };
-    let (out_f, grads_f) = run(false);
-    let (out_u, grads_u) = run(true);
+    let (out_f, grads_f) = split(|q, k, v| VanillaAttention::new().forward(q, k, v));
+    let (out_u, grads_u) = split(unfused_attention);
     assert_close("split-heads out", &out_f, &out_u);
     for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
         assert_close(&format!("split-heads {name}"), gf, gu);
     }
 }
 
-/// Group fused == group unfused (same sparse segment-sum grouping, explicit weighted
-/// softmax) for outputs and gradients, including N = 1, n below/above the key-tile
-/// size, and dh = 1.
+/// Group attention (sparse segment sums + fused weighted-softmax kernel) == the
+/// expanded-key reference for outputs and gradients on arbitrary, non-exact groupings,
+/// including a single group (N = 1), n below/above the key-tile size, and dh = 1.
 #[test]
 fn group_fused_matches_unfused_across_shapes() {
     for &(b, h, n, dh, groups, seed) in &[
@@ -126,41 +111,28 @@ fn group_fused_matches_unfused_across_shapes() {
         (2, 2, 30, 6, 5, 23),
         (1, 2, 50, 3, 7, 24),
         (1, 1, 140, 4, 9, 25),
+        (2, 2, 24, 4, 4, 31),
     ] {
         let mut r = rng(seed);
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-        let (out_f, grads_f) = run_group(&q, &k, &v, groups, false, false);
-        let (out_u, grads_u) = run_group(&q, &k, &v, groups, true, false);
+        let mut attn = GroupAttention::new(GroupAttentionConfig {
+            initial_groups: groups,
+            min_groups: 1,
+            adaptive: false,
+            kmeans_iters: 4,
+            ..Default::default()
+        });
+        assert_eq!(attn.effective_groups(n), groups);
+        let (out_f, grads_f) = run(&q, &k, &v, |q, k, v| attn.forward(q, k, v));
+        let (out_u, grads_u) =
+            run(&q, &k, &v, |q, k, v| expanded_key_attention(q, k, v, groups, 4));
         let label = format!("(b={b}, h={h}, n={n}, dh={dh}, N={groups})");
         assert_close(&format!("group out {label}"), &out_f, &out_u);
         for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
             assert_close(&format!("group {name} {label}"), gf, gu);
         }
-    }
-}
-
-/// Three-way agreement on one configuration: fused sparse (default), unfused sparse,
-/// and the dense-matrix oracle from PR 2 must all tell the same story.
-#[test]
-fn group_fused_sparse_and_dense_all_agree() {
-    let (b, h, n, dh, groups) = (2usize, 2usize, 24usize, 4usize, 4usize);
-    let mut r = rng(31);
-    let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-    let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-    let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
-    let (out_fused, grads_fused) = run_group(&q, &k, &v, groups, false, false);
-    let (out_unfused, grads_unfused) = run_group(&q, &k, &v, groups, true, false);
-    let (out_dense, grads_dense) = run_group(&q, &k, &v, groups, true, true);
-    assert_close("fused vs unfused", &out_fused, &out_unfused);
-    assert_close("fused vs dense", &out_fused, &out_dense);
-    for (name, (gf, (gu, gd))) in ["dq", "dk", "dv"]
-        .iter()
-        .zip(grads_fused.iter().zip(grads_unfused.iter().zip(&grads_dense)))
-    {
-        assert_close(&format!("{name} fused vs unfused"), gf, gu);
-        assert_close(&format!("{name} fused vs dense"), gf, gd);
     }
 }
 

@@ -1,12 +1,16 @@
 //! Property sweeps for the sparse grouping pipeline (the segment-sum formulation of the
 //! paper's §4.4 grouping constants).
 //!
-//! The dense one-hot `(N, n)` matrix formulation survives behind
-//! `GroupAttentionConfig::dense_matrices` as the exactness oracle: for every
+//! The oracle is the paper's expanded-key identity (§4.2, Appendix A.4), built densely
+//! in `common::expanded_key_attention`: canonical attention over keys replaced by their
+//! group's representative through a one-hot `(n, n)` averaging matrix. For every
 //! configuration the sparse default must reproduce its outputs (and gradients) within
 //! `f32` round-off, since both compute the same sums in a different association order.
 //! The sweeps run as deterministic seeded loops (no `proptest` in this workspace).
 
+mod common;
+
+use common::expanded_key_attention;
 use rand::SeedableRng;
 use rita::core::attention::{Attention, GroupAttention, GroupAttentionConfig};
 use rita::nn::gradcheck::gradcheck;
@@ -39,22 +43,18 @@ fn periodic_keys(
     NdArray::from_vec(data, &[b, h, n, dh]).unwrap()
 }
 
-fn run_group_attention(
-    q: &NdArray,
-    k: &NdArray,
-    v: &NdArray,
-    groups: usize,
-    dense: bool,
-) -> NdArray {
+/// The module's output and the expanded-key oracle's on the same inputs and grouping.
+fn run_group_attention(q: &NdArray, k: &NdArray, v: &NdArray, groups: usize) -> [NdArray; 2] {
     let mut attn = GroupAttention::new(GroupAttentionConfig {
         initial_groups: groups,
         adaptive: false,
         kmeans_iters: 4,
-        dense_matrices: dense,
         ..Default::default()
     });
-    attn.forward(&Var::constant(q.clone()), &Var::constant(k.clone()), &Var::constant(v.clone()))
-        .to_array()
+    let n_groups = attn.effective_groups(q.shape()[2]);
+    let (q, k, v) = (Var::constant(q.clone()), Var::constant(k.clone()), Var::constant(v.clone()));
+    [attn.forward(&q, &k, &v), expanded_key_attention(&q, &k, &v, n_groups, 4)]
+        .map(|o| o.to_array())
 }
 
 #[test]
@@ -76,12 +76,11 @@ fn sparse_pipeline_matches_dense_oracle_across_configurations() {
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut rng);
         let k = periodic_keys(b, h, n, dh, protos, noise, seed * 7 + 1);
         let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut rng);
-        let sparse = run_group_attention(&q, &k, &v, groups, false);
-        let dense = run_group_attention(&q, &k, &v, groups, true);
+        let [sparse, dense] = run_group_attention(&q, &k, &v, groups);
         assert_eq!(sparse.shape(), dense.shape());
         assert!(
             allclose(sparse.as_slice(), dense.as_slice(), 1e-5, 1e-5),
-            "case {case} ({b}x{h}x{n}x{dh}, {groups} groups): sparse != dense oracle"
+            "case {case} ({b}x{h}x{n}x{dh}, {groups} groups): sparse != expanded-key oracle"
         );
         assert!(!sparse.has_non_finite(), "case {case}: non-finite output");
     }
@@ -97,7 +96,7 @@ fn sparse_pipeline_gradients_match_dense_oracle() {
         let q0 = NdArray::randn(&[b, h, n, dh], 0.5, &mut rng);
         let k0 = periodic_keys(b, h, n, dh, protos, 0.01, seed * 3 + 1);
         let v0 = NdArray::randn(&[b, h, n, dh], 0.5, &mut rng);
-        let grads = |dense: bool| {
+        let grads = |oracle: bool| {
             let (q, k, v) = (
                 Var::parameter(q0.clone()),
                 Var::parameter(k0.clone()),
@@ -107,10 +106,14 @@ fn sparse_pipeline_gradients_match_dense_oracle() {
                 initial_groups: groups,
                 adaptive: false,
                 kmeans_iters: 6,
-                dense_matrices: dense,
                 ..Default::default()
             });
-            attn.forward(&q, &k, &v).square().sum_all().backward();
+            let out = if oracle {
+                expanded_key_attention(&q, &k, &v, attn.effective_groups(n), 6)
+            } else {
+                attn.forward(&q, &k, &v)
+            };
+            out.square().sum_all().backward();
             [q.grad().unwrap(), k.grad().unwrap(), v.grad().unwrap()]
         };
         let sparse = grads(false);
@@ -118,7 +121,7 @@ fn sparse_pipeline_gradients_match_dense_oracle() {
         for (tensor, (s, d)) in ["q", "k", "v"].iter().zip(sparse.iter().zip(dense.iter())) {
             assert!(
                 allclose(s.as_slice(), d.as_slice(), 1e-4, 1e-4),
-                "case {case}: {tensor} gradient diverges between sparse and dense paths"
+                "case {case}: {tensor} gradient diverges from the expanded-key oracle"
             );
         }
     }
