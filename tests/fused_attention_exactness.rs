@@ -4,11 +4,13 @@
 //! sweeps pin it to a test-local reference. Vanilla attention is compared against the
 //! explicit `Q·Kᵀ → softmax → ·V` chain, group attention against the paper's
 //! expanded-key identity (`common::expanded_key_attention`, the same chain over keys
-//! replaced by their group representatives). For every configuration — including shapes
-//! that are not multiples of the kernel's tile sizes, `d_h = 1`, a single group, and
-//! strided head-split inputs — the fused output and all three input gradients must
-//! match the reference within 1e-4 (the fused kernel uses a polynomial `exp` with ≈ 4e-6
-//! relative error, and tiles its sums in a different association order).
+//! replaced by their group representatives), and on one configuration also against the
+//! paper's group-softmax form over the `N` representatives. For every configuration —
+//! including shapes that are not multiples of the kernel's tile sizes, `d_h = 1`, a
+//! single group, and strided head-split inputs — the fused output and all three input
+//! gradients must match the reference within 1e-4 (the fused kernel uses a polynomial
+//! `exp` with ≈ 4e-6 relative error, and tiles its sums in a different association
+//! order).
 
 mod common;
 
@@ -17,6 +19,7 @@ use rand::SeedableRng;
 use rita::core::attention::{
     split_heads, Attention, GroupAttention, GroupAttentionConfig, VanillaAttention,
 };
+use rita::core::group::group_key_blocks;
 use rita::nn::Var;
 use rita::tensor::{allclose, NdArray, SeedableRng64};
 
@@ -111,7 +114,6 @@ fn group_fused_matches_unfused_across_shapes() {
         (2, 2, 30, 6, 5, 23),
         (1, 2, 50, 3, 7, 24),
         (1, 1, 140, 4, 9, 25),
-        (2, 2, 24, 4, 4, 31),
     ] {
         let mut r = rng(seed);
         let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
@@ -133,6 +135,66 @@ fn group_fused_matches_unfused_across_shapes() {
         for (name, (gf, gu)) in ["dq", "dk", "dv"].iter().zip(grads_f.iter().zip(&grads_u)) {
             assert_close(&format!("group {name} {label}"), gf, gu);
         }
+    }
+}
+
+/// Group attention in the paper's group-softmax form (§4.2): scores against the `N`
+/// group representatives `R = M·K` (`M[g][j] = [g(j) = g] / count_g`), a softmax whose
+/// logits are shifted by `ln count_g`, and a product with the group mean values `M·V`.
+/// It works on `N` columns, where the expanded-key reference works on `n`, and shares
+/// no code with either that reference or the fused kernel; only the grouping is the
+/// same `group_key_blocks` clustering.
+fn group_softmax_attention(q: &Var, k: &Var, v: &Var, n_groups: usize, iters: usize) -> Var {
+    let shape = q.shape();
+    let (b, h, n, dh) = (shape[0], shape[1], shape[2], shape[3]);
+    let (mut mean, mut bias) = (Vec::new(), Vec::new());
+    for g in group_key_blocks(&k.to_array(), n_groups, iters) {
+        assert_eq!(g.num_groups(), n_groups);
+        for (gi, &count) in g.counts.iter().enumerate() {
+            let w = 1.0 / count.max(1) as f32;
+            mean.extend(g.assignments.iter().map(|&gj| if gj == gi { w } else { 0.0 }));
+        }
+        let log_counts: Vec<f32> = g.counts.iter().map(|&c| (c as f32).ln()).collect();
+        for _ in 0..n {
+            bias.extend_from_slice(&log_counts);
+        }
+    }
+    let mean = Var::constant(NdArray::from_vec(mean, &[b, h, n_groups, n]).unwrap());
+    let bias = Var::constant(NdArray::from_vec(bias, &[b, h, n, n_groups]).unwrap());
+    let scores = q.matmul_nt_scaled(&mean.matmul(k), 1.0 / (dh as f32).sqrt());
+    scores.add(&bias).softmax_last().matmul(&mean.matmul(v))
+}
+
+/// Three-way agreement on one configuration: the fused kernel, the group-softmax form
+/// over the `N` representatives, and the dense expanded-key reference over all `n` keys
+/// must all tell the same story, for outputs and gradients.
+#[test]
+fn group_fused_sparse_and_dense_all_agree() {
+    let (b, h, n, dh, groups) = (2usize, 2usize, 24usize, 4usize, 4usize);
+    let mut r = rng(31);
+    let q = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
+    let k = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
+    let v = NdArray::randn(&[b, h, n, dh], 1.0, &mut r);
+    let mut attn = GroupAttention::new(GroupAttentionConfig {
+        initial_groups: groups,
+        min_groups: 1,
+        adaptive: false,
+        kmeans_iters: 4,
+        ..Default::default()
+    });
+    assert_eq!(attn.effective_groups(n), groups);
+    let (out_fused, grads_fused) = run(&q, &k, &v, |q, k, v| attn.forward(q, k, v));
+    let (out_sparse, grads_sparse) =
+        run(&q, &k, &v, |q, k, v| group_softmax_attention(q, k, v, groups, 4));
+    let (out_dense, grads_dense) =
+        run(&q, &k, &v, |q, k, v| expanded_key_attention(q, k, v, groups, 4));
+    assert_close("fused vs group softmax", &out_fused, &out_sparse);
+    assert_close("fused vs expanded keys", &out_fused, &out_dense);
+    for (name, (gf, (gs, gd))) in
+        ["dq", "dk", "dv"].iter().zip(grads_fused.iter().zip(grads_sparse.iter().zip(&grads_dense)))
+    {
+        assert_close(&format!("{name} fused vs group softmax"), gf, gs);
+        assert_close(&format!("{name} fused vs expanded keys"), gf, gd);
     }
 }
 
