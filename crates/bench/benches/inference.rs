@@ -20,7 +20,7 @@ use rita_core::attention::AttentionKind;
 use rita_core::checkpoint::Checkpoint;
 use rita_core::model::RitaConfig;
 use rita_core::tasks::Classifier;
-use rita_infer::{InferModel, Precision};
+use rita_infer::InferModel;
 use rita_nn::no_grad;
 use rita_tensor::{NdArray, QuantMatrix, SeedableRng64};
 
@@ -112,7 +112,7 @@ fn bench_precision(c: &mut Criterion) {
     }
 
     // Model-level precision rows on a quantization-sized classifier (d_model 256):
-    // the whole planned forward under f32 vs int8 weights vs int8+bf16 K/V.
+    // the whole planned forward from the f32 checkpoint vs its offline int8 twin.
     let config = RitaConfig {
         channels: 3,
         max_len: 120,
@@ -125,19 +125,14 @@ fn bench_precision(c: &mut Criterion) {
         ..Default::default()
     };
     let ckpt = Checkpoint::of_classifier(&Classifier::new(config, 5, &mut rng), None);
-    let variants: &[(&str, Precision)] = &[
-        ("planned_f32", Precision::F32),
-        ("planned_int8", Precision::Int8),
-        ("planned_int8_bf16", Precision::Int8Bf16),
-    ];
+    let variants = [("planned_f32", ckpt.clone()), ("planned_int8", ckpt.quantize())];
     let batches: &[usize] = if quick() { &[4] } else { &[4, 16] };
     let mut group = c.benchmark_group("inference_forward_d256");
     group.sample_size(if quick() { 3 } else { 10 });
     for &b in batches {
         let x = NdArray::randn(&[b, 3, 120], 1.0, &mut rng);
-        for (name, precision) in variants {
-            let model = InferModel::from_checkpoint_with(&ckpt, *precision)
-                .expect("load checkpoint at the requested precision");
+        for (name, ckpt) in &variants {
+            let model = InferModel::from_checkpoint(ckpt).expect("load checkpoint");
             assert!(
                 model.logits(&x).as_slice().iter().all(|v| v.is_finite()),
                 "{name} forward produced non-finite logits"

@@ -32,9 +32,7 @@ use rita_core::checkpoint::Checkpoint;
 use rita_core::model::RitaConfig;
 use rita_core::tasks::Classifier;
 use rita_infer::chaos::{self, ChaosConfig, Injection};
-use rita_infer::{
-    BreakerPolicy, InferSession, ModelRegistry, Precision, ServeError, Server, ServerConfig,
-};
+use rita_infer::{BreakerPolicy, InferSession, ModelRegistry, ServeError, Server, ServerConfig};
 use rita_tensor::{worker_budget, NdArray, SeedableRng64};
 
 fn quick() -> bool {
@@ -308,16 +306,17 @@ fn main() {
 
     // Precision rows (ISSUE 10): the d_model-256 model served f32 against int8 at
     // the top load point. Both servers run the same continuous-batching discipline
-    // over identical traffic; the only difference is the precision the registry
-    // binds at publish, so the throughput ratio isolates the quantized kernels.
+    // over identical traffic; the only difference is the published checkpoint (f32
+    // or its offline int8 quantization), so the throughput ratio isolates the
+    // quantized kernels.
     let top = loads.iter().copied().max().unwrap();
     let large = large_checkpoint();
+    let large_int8 = large.quantize();
     for (mix, requests) in &request_sets {
-        for (mode, precision) in
-            [("continuous_f32_d256", Precision::F32), ("continuous_int8_d256", Precision::Int8)]
+        for (mode, ckpt) in [("continuous_f32_d256", &large), ("continuous_int8_d256", &large_int8)]
         {
             let registry = Arc::new(ModelRegistry::new());
-            registry.publish_with(&large, precision).expect("publish d256 checkpoint");
+            registry.publish(ckpt).expect("publish d256 checkpoint");
             let server = Server::start(Arc::clone(&registry), server_config);
             // Sanity before timing: the served answer must be finite at this
             // precision (bit-parity is an f32-only guarantee).

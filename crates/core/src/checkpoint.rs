@@ -20,15 +20,15 @@
 //!                   group-count targets, so a restart resumes the exact schedule
 //! tensors  u32 n    then n records. A v3 record is
 //!                     path_len u32, path utf-8
-//!                     dtype    u8   0 = f32 | 1 = int8 (per-channel scales) | 2 = bf16
+//!                     dtype    u8   0 = f32 | 1 = int8 (per-channel scales); any
+//!                                   other tag is rejected as corrupted
 //!                     ndim u32, dims u32…
 //!                     scales   u32  (int8 only) per-channel scale count — must equal
 //!                                   the last dim (one scale per output column)
 //!                     paylen   u64  payload byte length; the reader cross-checks it
 //!                                   against dtype × numel (+ scales) before parsing,
 //!                                   so a dtype/payload mismatch is structural damage
-//!                     payload       f32 LE data | i8 codes then f32 LE scales |
-//!                                   bf16 (u16 LE) data
+//!                     payload       f32 LE data | i8 codes then f32 LE scales
 //!                   (v1/v2 records have no dtype/paylen fields and are always f32.)
 //!                   Every named parameter followed by every named buffer, in
 //!                   visitor order.
@@ -85,10 +85,9 @@ const VERSION: u32 = 3;
 /// Dtype tags of version-3 tensor records.
 const DTYPE_F32: u8 = 0;
 const DTYPE_INT8: u8 = 1;
-const DTYPE_BF16: u8 = 2;
 
-/// One named tensor as stored in a checkpoint: full-precision, int8-quantized with
-/// per-channel scales, or bf16.
+/// One named tensor as stored in a checkpoint: full-precision, or int8-quantized with
+/// per-channel scales.
 ///
 /// Quantized records keep their compact payload in memory — the inference tier binds
 /// them directly (packing int8 codes into GEMM panels without ever inflating to f32);
@@ -109,13 +108,6 @@ pub enum TensorRecord {
         /// Per-output-column dequantization scales, `n` of them.
         scales: Vec<f32>,
     },
-    /// bf16 storage (upper 16 bits of each f32, round-to-nearest-even).
-    Bf16 {
-        /// Logical shape.
-        shape: Vec<usize>,
-        /// bf16 bit patterns, row-major.
-        data: Vec<u16>,
-    },
 }
 
 impl TensorRecord {
@@ -123,7 +115,7 @@ impl TensorRecord {
     pub fn shape(&self) -> &[usize] {
         match self {
             TensorRecord::F32(t) => t.shape(),
-            TensorRecord::Int8 { shape, .. } | TensorRecord::Bf16 { shape, .. } => shape,
+            TensorRecord::Int8 { shape, .. } => shape,
         }
     }
 
@@ -137,23 +129,38 @@ impl TensorRecord {
         match self {
             TensorRecord::F32(t) => 4 * t.len(),
             TensorRecord::Int8 { data, scales, .. } => data.len() + 4 * scales.len(),
-            TensorRecord::Bf16 { data, .. } => 2 * data.len(),
         }
     }
 
+    /// Structural soundness, in the byte reader's wording: an `Int8` record must be
+    /// rank 2 with one scale per output column and one code per element. The reader
+    /// enforces this on every file it parses; a record built or edited in memory has
+    /// not been through it, and [`TensorRecord::to_f32`] or panel packing would panic
+    /// on it, so the inference loader checks every record before binding it.
+    pub fn check(&self, path: &str) -> Result<(), CheckpointError> {
+        let TensorRecord::Int8 { shape, data, scales } = self else {
+            return Ok(());
+        };
+        if shape.len() != 2 || scales.len() != shape[1] {
+            return Err(scale_count_error(path, shape, scales.len()));
+        }
+        let numel = (shape[0] * shape[1]) as u64;
+        let scale_bytes = 4 * scales.len() as u64;
+        if data.len() as u64 != numel {
+            return Err(payload_error(path, data.len() as u64 + scale_bytes, numel + scale_bytes));
+        }
+        Ok(())
+    }
+
     /// Widens/dequantizes to a dense f32 array. Exact for `F32` (shares storage), the
-    /// per-channel dequantization for `Int8`, the exact bf16 widening for `Bf16`.
+    /// per-channel dequantization for `Int8`. Panics on an `Int8` record that fails
+    /// [`TensorRecord::check`].
     pub fn to_f32(&self) -> NdArray {
         match self {
             TensorRecord::F32(t) => t.clone(),
             TensorRecord::Int8 { shape, data, scales } => {
                 let w = rita_tensor::dequantize_columns(data, scales, shape[0], shape[1]);
                 NdArray::from_vec(w, shape).expect("int8 record shape matches its data")
-            }
-            TensorRecord::Bf16 { shape, data } => {
-                let mut w = Vec::new();
-                rita_tensor::decode_bf16(data, &mut w);
-                NdArray::from_vec(w, shape).expect("bf16 record shape matches its data")
             }
         }
     }
@@ -930,18 +937,6 @@ impl Writer {
                 self.0.extend(data.iter().map(|&c| c as u8));
                 self.f32_slice(scales);
             }
-            TensorRecord::Bf16 { shape, data } => {
-                self.u8(DTYPE_BF16);
-                self.u32(shape.len() as u32);
-                for &d in shape {
-                    self.u32(d as u32);
-                }
-                self.u64(2 * data.len() as u64);
-                self.0.reserve(data.len() * 2);
-                for &b in data {
-                    self.0.extend_from_slice(&b.to_le_bytes());
-                }
-            }
         }
     }
 }
@@ -1044,7 +1039,6 @@ impl Reader<'_> {
         let width: u64 = match dtype {
             DTYPE_F32 => 4,
             DTYPE_INT8 => 1,
-            DTYPE_BF16 => 2,
             t => {
                 return Err(CheckpointError::Corrupted(format!(
                     "tensor '{path}' has unknown dtype tag {t}"
@@ -1057,45 +1051,44 @@ impl Reader<'_> {
             let n = self.u32("tensor scale count")? as usize;
             let channels = shape.last().copied().unwrap_or(0);
             if shape.len() != 2 || n != channels {
-                return Err(CheckpointError::Corrupted(format!(
-                    "int8 tensor '{path}' (shape {shape:?}) declares {n} scales — expected one                      per output column"
-                )));
+                return Err(scale_count_error(path, &shape, n));
             }
             n
         } else {
             0
         };
-        let expect = match dtype {
-            DTYPE_F32 => 4 * numel as u64,
-            DTYPE_INT8 => numel as u64 + 4 * scales_len as u64,
-            _ => 2 * numel as u64,
-        };
+        let expect = width * numel as u64 + 4 * scales_len as u64;
         let paylen = self.u64("tensor payload length")?;
         if paylen != expect {
-            return Err(CheckpointError::Corrupted(format!(
-                "tensor '{path}' stores a {paylen}-byte payload but its dtype and shape imply                  {expect} bytes — dtype tag and payload disagree"
-            )));
+            return Err(payload_error(path, paylen, expect));
         }
-        match dtype {
-            DTYPE_F32 => Ok(TensorRecord::F32(self.tensor_data(numel, &shape, path)?)),
-            DTYPE_INT8 => {
-                let raw = self.bytes(numel, &format!("tensor '{path}' int8 codes"))?;
-                let data: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-                let sraw = self.bytes(4 * scales_len, &format!("tensor '{path}' scales"))?;
-                let scales: Vec<f32> = sraw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect();
-                Ok(TensorRecord::Int8 { shape, data, scales })
-            }
-            _ => {
-                let raw = self.bytes(2 * numel, &format!("tensor '{path}' bf16 data"))?;
-                let data: Vec<u16> =
-                    raw.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect();
-                Ok(TensorRecord::Bf16 { shape, data })
-            }
+        if dtype == DTYPE_F32 {
+            return Ok(TensorRecord::F32(self.tensor_data(numel, &shape, path)?));
         }
+        let raw = self.bytes(numel, &format!("tensor '{path}' int8 codes"))?;
+        let data: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
+        let sraw = self.bytes(4 * scales_len, &format!("tensor '{path}' scales"))?;
+        let scales: Vec<f32> =
+            sraw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
+        Ok(TensorRecord::Int8 { shape, data, scales })
     }
+}
+
+/// An int8 record whose rank or scale count breaks the one-scale-per-output-column
+/// layout.
+fn scale_count_error(path: &str, shape: &[usize], n: usize) -> CheckpointError {
+    CheckpointError::Corrupted(format!(
+        "int8 tensor '{path}' (shape {shape:?}) declares {n} scales — expected one per \
+         output column"
+    ))
+}
+
+/// A record whose payload length disagrees with the one its dtype and shape imply.
+fn payload_error(path: &str, paylen: u64, expect: u64) -> CheckpointError {
+    CheckpointError::Corrupted(format!(
+        "tensor '{path}' stores a {paylen}-byte payload but its dtype and shape imply \
+         {expect} bytes — dtype tag and payload disagree"
+    ))
 }
 
 #[cfg(test)]
@@ -1333,7 +1326,6 @@ mod tests {
                     }
                 }
                 TensorRecord::F32(_) => assert!(!expect_int8, "{path} should be int8"),
-                TensorRecord::Bf16 { .. } => panic!("the pass never emits bf16"),
             }
         }
         assert!(converted > 0, "a classifier carries quantizable weights");
@@ -1346,23 +1338,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_int8_and_bf16_records_roundtrip_bit_exactly() {
+    fn v3_int8_records_roundtrip_bit_exactly() {
         let clf = classifier(AttentionKind::default_group(), 21);
-        let mut ckpt = Checkpoint::of_classifier(&clf, None).quantize();
-        // Re-encode one remaining f32 record as bf16 so every dtype arm rides along.
-        let slot = ckpt
-            .tensors
-            .iter_mut()
-            .find(|(_, t)| matches!(t, TensorRecord::F32(_)))
-            .expect("some records stay f32");
-        if let TensorRecord::F32(a) = &slot.1 {
-            let mut data = Vec::new();
-            rita_tensor::encode_bf16(a.materialize().as_slice(), &mut data);
-            slot.1 = TensorRecord::Bf16 { shape: a.shape().to_vec(), data };
-        }
+        let ckpt = Checkpoint::of_classifier(&clf, None).quantize();
         let restored = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
         assert!(restored.tensors.iter().any(|(_, t)| matches!(t, TensorRecord::Int8 { .. })));
-        assert!(restored.tensors.iter().any(|(_, t)| matches!(t, TensorRecord::Bf16 { .. })));
+        assert!(restored.tensors.iter().any(|(_, t)| matches!(t, TensorRecord::F32(_))));
         for ((pa, ta), (pb, tb)) in ckpt.tensors.iter().zip(&restored.tensors) {
             assert_eq!(pa, pb);
             assert_eq!(ta, tb, "bit-exact v3 record roundtrip for {pa}");
@@ -1438,7 +1419,8 @@ mod tests {
         // The dtype byte sits right after the length-prefixed path.
         let dtype_at = spans[idx].start + 4 + path.len();
         assert_eq!(bytes[dtype_at], DTYPE_INT8);
-        for wrong in [DTYPE_F32, DTYPE_BF16, 7u8] {
+        // Tag 2 is no longer assigned to any dtype: it is unknown like any other.
+        for wrong in [DTYPE_F32, 2u8, 7u8] {
             let mut damaged = bytes.clone();
             damaged[dtype_at] = wrong;
             refresh_crcs(&mut damaged, &spans, idx);
@@ -1447,6 +1429,9 @@ mod tests {
                 matches!(err, CheckpointError::Corrupted(_) | CheckpointError::Truncated(_)),
                 "dtype {wrong}: {err}"
             );
+            if wrong != DTYPE_F32 {
+                assert!(err.to_string().contains(&format!("unknown dtype tag {wrong}")), "{err}");
+            }
         }
     }
 

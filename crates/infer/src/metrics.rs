@@ -299,10 +299,10 @@ impl Metrics {
         t
     }
 
-    /// Records that a worker served a batch on model `version` running at `precision`
+    /// Records that a worker served a batch on model `version` with precision `label`
     /// (idempotent; workers call it once per observed swap, not per batch).
-    pub fn record_version(&self, version: u64, precision: &'static str) {
-        crate::lock_mx(&self.versions).insert(version, precision);
+    pub fn record_version(&self, version: u64, label: &'static str) {
+        crate::lock_mx(&self.versions).insert(version, label);
     }
 
     /// Records one served request's end-to-end latency and queue wait.

@@ -22,58 +22,38 @@ use rita_tensor::{NdArray, QuantMatrix, MAX_QUANT_K};
 
 use crate::plan::{note_plan_cache, CachedPlan, InferError};
 
-/// Numeric policy of a loaded model: which kernels the plan executor dispatches and
-/// how checkpoint weight records are bound.
+/// Numeric precision of a loaded model, as its checkpoint's records imply — a
+/// read-only label, not a setting. The records decide how each weight binds:
 ///
-/// * Under an int8 policy, eligible weight matrices — rank-2 records consumed only as
-///   the weight operand of `Matmul`/`Linear`/`WindowEmbed` nodes — are bound as
-///   pre-packed [`QuantMatrix`] panels and multiplied by the quantized engine
-///   (`NdArray::matmul_quant`): int8 checkpoint records bind **directly**, with no
-///   load-time inflation to f32, and f32 `.weight` records are quantized once at
-///   load. Ineligible records (norm gains, biases, projection tables consumed as a
-///   matmul *lhs*) always stay f32.
-/// * Under a bf16-activations policy, attention K/V tiles are packed to bf16
-///   (`rita_tensor::fused_attention_bf16_kv`), halving the score/value streaming
-///   traffic; softmax statistics and accumulators stay f32.
-/// * Under [`Precision::F32`], int8 records are explicitly dequantized at load — the
-///   back-compat escape hatch, and the only policy that inflates.
+/// * An `Int8` record consumed only as the weight operand of `Matmul`/`Linear`/
+///   `WindowEmbed` nodes, with reduction depth `k <= MAX_QUANT_K`, binds **directly**
+///   as a pre-packed [`QuantMatrix`] and is multiplied by the quantized engine
+///   (`NdArray::matmul_quant`) — no load-time inflation to f32. Any other `Int8`
+///   record is dequantized once at load.
+/// * An `F32` record always binds f32.
+///
+/// The int8 rollout is therefore `ModelRegistry::publish(&ckpt.quantize())`: the
+/// offline pass is the one place weights are quantized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// Everything f32: quantized records are dequantized at load.
+    /// Every record is f32.
     #[default]
     F32,
-    /// Int8 per-channel weights through the quantized GEMM engine; f32 activations.
+    /// The checkpoint carries int8 per-channel weights; f32 activations.
     Int8,
-    /// F32 weights, attention K/V operands stored bf16.
-    Bf16Activations,
-    /// Int8 weights *and* bf16 attention K/V — the full reduced-precision path.
-    Int8Bf16,
 }
 
 impl Precision {
-    /// Whether eligible weights bind as packed int8 panels.
-    pub fn uses_int8(self) -> bool {
-        matches!(self, Precision::Int8 | Precision::Int8Bf16)
-    }
-
-    /// Whether attention K/V operands are stored bf16 during fused attention.
-    pub fn kv_bf16(self) -> bool {
-        matches!(self, Precision::Bf16Activations | Precision::Int8Bf16)
-    }
-
     /// Stable lowercase label, used by metrics snapshots and bench reports.
     pub fn as_str(self) -> &'static str {
         match self {
             Precision::F32 => "f32",
             Precision::Int8 => "int8",
-            Precision::Bf16Activations => "bf16-act",
-            Precision::Int8Bf16 => "int8+bf16",
         }
     }
 
-    /// The policy a checkpoint asks for by its own record dtypes: any int8 record
-    /// means the checkpoint was quantized offline and should serve through the int8
-    /// engine (binding it under `F32` would silently inflate every weight).
+    /// The label a checkpoint's own record dtypes imply: any int8 record means the
+    /// checkpoint was quantized offline and serves through the int8 engine.
     pub fn for_checkpoint(ckpt: &Checkpoint) -> Self {
         let quantized = ckpt.tensors.iter().any(|(_, t)| matches!(t, TensorRecord::Int8 { .. }));
         if quantized {
@@ -98,12 +78,14 @@ pub struct InferModel {
     config: RitaConfig,
     task: TaskKind,
     graph: Graph,
-    precision: Precision,
+    /// What [`InferModel::precision`] reports: [`Precision::for_checkpoint`].
+    label: Precision,
     /// Checkpoint tensor (or positional table) per graph value, `None` for activations
     /// and for weights bound quantized.
     bound: Vec<Option<NdArray>>,
-    /// Pre-packed int8 weight panels per graph value under an int8 policy — the
-    /// executor multiplies through these directly; no f32 copy of the weight exists.
+    /// Pre-packed int8 weight panels per graph value, from the checkpoint's int8
+    /// records — the executor multiplies through these directly; no f32 copy of the
+    /// weight exists.
     quant: Vec<Option<Arc<QuantMatrix>>>,
     /// Shape per bound name, for plan compilation.
     shapes_by_name: HashMap<String, Vec<usize>>,
@@ -119,19 +101,9 @@ impl InferModel {
     /// its tensor. Validates that every tensor the graph needs is present and none are
     /// left over; tensor *shapes* are checked when the first plan for a shape bucket
     /// compiles, and a mismatch fails that request with a typed error rather than
-    /// panicking a worker.
+    /// panicking a worker. Each record binds at its own precision (see [`Precision`]);
+    /// a structurally malformed int8 record is [`CheckpointError::Corrupted`].
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        Self::from_checkpoint_with(ckpt, Precision::for_checkpoint(ckpt))
-    }
-
-    /// [`InferModel::from_checkpoint`] with an explicit numeric policy — serve a
-    /// quantized checkpoint dequantized (`Precision::F32`), quantize an f32 checkpoint
-    /// at load (`Precision::Int8`), or turn on bf16 K/V storage. The default entry
-    /// point picks the policy the checkpoint's own record dtypes ask for.
-    pub fn from_checkpoint_with(
-        ckpt: &Checkpoint,
-        precision: Precision,
-    ) -> Result<Self, CheckpointError> {
         let config = ckpt.config;
         config.check().map_err(CheckpointError::Corrupted)?;
         let by_path: HashMap<&str, &TensorRecord> =
@@ -166,29 +138,18 @@ impl InferModel {
                     Some(&rec) => {
                         used.insert(path.as_str());
                         shapes_by_name.insert(path.clone(), rec.shape().to_vec());
-                        let eligible = precision.uses_int8()
-                            && weight_only[i]
-                            && consumed[i]
-                            && rec.shape().len() == 2
-                            && rec.shape()[0] <= MAX_QUANT_K;
+                        rec.check(path)?;
                         match rec {
                             // Offline-quantized records bind their packed panels
                             // directly — the int8 payload never inflates to f32.
-                            TensorRecord::Int8 { shape, data, scales } if eligible => {
+                            TensorRecord::Int8 { shape, data, scales }
+                                if weight_only[i] && consumed[i] && shape[0] <= MAX_QUANT_K =>
+                            {
                                 quant[i] = Some(Arc::new(QuantMatrix::from_quantized(
                                     data,
                                     scales.clone(),
                                     shape[0],
                                     shape[1],
-                                )));
-                            }
-                            // Load-time quantization of a trained f32 weight under an
-                            // int8 policy — same routine the offline pass uses.
-                            TensorRecord::F32(t) if eligible && path.ends_with(".weight") => {
-                                quant[i] = Some(Arc::new(QuantMatrix::quantize(
-                                    t.as_slice(),
-                                    rec.shape()[0],
-                                    rec.shape()[1],
                                 )));
                             }
                             rec => bound[i] = Some(rec.to_f32()),
@@ -239,7 +200,7 @@ impl InferModel {
             config,
             task: ckpt.task,
             graph,
-            precision,
+            label: Precision::for_checkpoint(ckpt),
             bound,
             quant,
             shapes_by_name,
@@ -249,12 +210,12 @@ impl InferModel {
         })
     }
 
-    /// The numeric policy this model executes under.
+    /// The numeric precision this model's checkpoint records imply.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.label
     }
 
-    /// Number of weight matrices bound as packed int8 panels (0 under f32 policies).
+    /// Number of weight matrices bound as packed int8 panels (0 for an f32 checkpoint).
     pub fn quantized_params(&self) -> usize {
         self.quant.iter().filter(|q| q.is_some()).count()
     }
@@ -346,15 +307,7 @@ impl InferModel {
             }));
         }
         let cached = self.plan_for(shape[0], shape[2])?;
-        crate::plan::execute(
-            &self.graph,
-            &cached,
-            &self.bound,
-            &self.quant,
-            self.precision.kv_bf16(),
-            x,
-            target,
-        )
+        crate::plan::execute(&self.graph, &cached, &self.bound, &self.quant, x, target)
     }
 
     /// Encodes a raw batch `(batch, channels, length)` into contextual embeddings

@@ -135,19 +135,6 @@ impl ModelRegistry {
         self.install(ckpt, InferModel::from_checkpoint(ckpt)?)
     }
 
-    /// [`publish`](Self::publish) with an explicit numeric precision instead of the
-    /// checkpoint's own default: `Precision::Int8` quantizes eligible f32 weights at
-    /// load (the canary step of a mixed-precision rollout), `Precision::F32` inflates
-    /// a quantized checkpoint back to f32 (the escape hatch). The same static
-    /// verification gates activation either way.
-    pub fn publish_with(
-        &self,
-        ckpt: &Checkpoint,
-        precision: crate::Precision,
-    ) -> Result<u64, PublishError> {
-        self.install(ckpt, InferModel::from_checkpoint_with(ckpt, precision)?)
-    }
-
     fn install(&self, ckpt: &Checkpoint, model: InferModel) -> Result<u64, PublishError> {
         let model = Arc::new(model);
         let report = rita_verify::verify_with_graph(ckpt, model.graph());
@@ -567,19 +554,10 @@ mod tests {
         assert!(canary.model.quantized_params() > 0, "int8 records must bind as panels");
         assert_eq!(reg.current_version(), Some(v2));
 
-        // publish_with is the other rollout direction: force-quantize the f32
-        // checkpoint at load, and force-inflate the quantized one back to f32.
-        let v3 = reg.publish_with(&f32_ckpt, crate::Precision::Int8).unwrap();
-        assert_eq!(reg.get(v3).unwrap().model.precision(), crate::Precision::Int8);
-        let v4 = reg.publish_with(&f32_ckpt.quantize(), crate::Precision::F32).unwrap();
-        let inflated = reg.get(v4).unwrap();
-        assert_eq!(inflated.model.precision(), crate::Precision::F32);
-        assert_eq!(inflated.model.quantized_params(), 0);
-
         // Accuracy regression detected on the canary: quarantine repoints traffic.
         assert!(reg.activate(v2));
-        assert_eq!(reg.quarantine(v2), Some(v4));
-        assert_eq!(reg.current_version(), Some(v4));
+        assert_eq!(reg.quarantine(v2), Some(v1));
+        assert_eq!(reg.current_version(), Some(v1));
         assert_eq!(reg.current().unwrap().model.precision(), crate::Precision::F32);
         assert!(reg.is_quarantined(v2));
     }

@@ -63,8 +63,8 @@ use rita_data::batch::{batch_indices_by_length, stack_samples};
 use rita_tensor::{with_worker_threads, worker_budget, NdArray, SeedableRng64};
 
 use crate::metrics::{Metrics, TenantMetrics};
-use crate::model::{InferModel, Precision};
-use crate::registry::{ModelHandle, ModelRegistry, PublishError};
+use crate::model::InferModel;
+use crate::registry::{ModelHandle, ModelRegistry};
 use crate::session::{validate_request, RequestError};
 
 /// Admission policy for one tenant.
@@ -187,12 +187,6 @@ pub struct ServerConfig {
     pub respawn_backoff: Duration,
     /// Ceiling on the respawn backoff.
     pub respawn_backoff_max: Duration,
-    /// Numeric precision applied to checkpoints published through
-    /// [`Server::publish`]. `None` honours each checkpoint's own dtypes (f32 records
-    /// serve as f32, int8 records serve quantized); `Some(p)` forces policy `p`, e.g.
-    /// `Some(Precision::Int8)` quantizes eligible f32 weights at load for a
-    /// mixed-precision rollout. Publishing directly on the registry bypasses this.
-    pub precision: Option<Precision>,
 }
 
 impl Default for ServerConfig {
@@ -211,7 +205,6 @@ impl Default for ServerConfig {
             brownout: BrownoutPolicy::default(),
             respawn_backoff: Duration::from_millis(10),
             respawn_backoff_max: Duration::from_secs(1),
-            precision: None,
         }
     }
 }
@@ -824,17 +817,6 @@ impl Server {
     /// The server's model registry (publish/rollback while serving).
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.shared.registry
-    }
-
-    /// Publishes `ckpt` through the registry at the server's configured
-    /// [`precision`](ServerConfig::precision) (each checkpoint's own dtypes when
-    /// `None`). The swap is atomic exactly as with a direct registry publish;
-    /// in-flight batches finish on the version they snapshotted.
-    pub fn publish(&self, ckpt: &rita_core::checkpoint::Checkpoint) -> Result<u64, PublishError> {
-        match self.shared.config.precision {
-            Some(p) => self.shared.registry.publish_with(ckpt, p),
-            None => self.shared.registry.publish(ckpt),
-        }
     }
 
     /// The server's metrics (snapshot any time).

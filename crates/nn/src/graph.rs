@@ -495,9 +495,8 @@ pub struct Plan {
     pub last_use: Vec<Option<usize>>,
     /// Slot capacities **in bytes** of the planned activation arena — feed to
     /// `rita_tensor::pool_reserve` so every major activation is a pool hit from the
-    /// first request. Byte-denominated so mixed-precision executors (f32 activations
-    /// today, narrower dtypes behind the `Precision` knob) share one sizing currency
-    /// with the pool. Kernel-internal scratch still falls back to best-fit.
+    /// first request. Byte-denominated so the sizing currency matches the pool's, which
+    /// also holds non-`f32` scratch; every activation is `f32` today. Kernel-internal scratch still falls back to best-fit.
     pub arena: Vec<usize>,
     /// The graph input shape this plan was compiled for.
     pub input_shape: Vec<usize>,

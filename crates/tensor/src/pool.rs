@@ -14,10 +14,10 @@
 //!
 //! Since the quantized inference path, the pool is **byte-denominated**: sizing
 //! ([`pool_reserve`], the per-buffer retention bound, the stats counters) is in bytes,
-//! and alongside the `f32` free list there are parallel `i16`/`u16` lists serving the
-//! int8 packing scratch and bf16 K/V tiles of the quantized kernels. Each element type
-//! keeps its own list (a `Vec<f32>` allocation cannot be retyped in safe Rust), but all
-//! three share one stats block and one per-list buffer-count bound.
+//! and alongside the `f32` free list there is a parallel `i16` list serving the int8
+//! packing scratch of the quantized GEMM. Each element type keeps its own list (a
+//! `Vec<f32>` allocation cannot be retyped in safe Rust), but both share one stats block
+//! and one per-list buffer-count bound.
 //!
 //! The pool is deliberately bounded ([`MAX_POOLED_BUFFERS`], [`MAX_POOLED_BYTES`]) and
 //! thread-local: kernels that fan work out to scoped threads allocate their outputs on
@@ -212,7 +212,6 @@ macro_rules! typed_pool {
 
 typed_pool!(pool_f32, f32, 4, 0.0f32);
 typed_pool!(pool_i16, i16, 2, 0i16);
-typed_pool!(pool_u16, u16, 2, 0u16);
 
 /// Allocates a zero-filled `f32` buffer of `len` elements through the pool. For
 /// **accumulator** outputs (matmul, fused attention) whose kernels add into the buffer.
@@ -269,7 +268,6 @@ pub fn pool_stats() -> PoolStats {
 pub fn pool_reset() {
     pool_f32::clear();
     pool_i16::clear();
-    pool_u16::clear();
     STATS.with(|s| *s.borrow_mut() = PoolStats::new());
 }
 
@@ -374,16 +372,13 @@ mod tests {
     #[test]
     fn typed_pools_recycle_independently_of_f32() {
         pool_reset();
-        // Seed the i16 and u16 lists by giving buffers back, then reuse them.
+        // Seed the i16 list by giving a buffer back, then reuse it.
         assert!(pool_i16::give_back(Vec::with_capacity(64)));
-        assert!(pool_u16::give_back(Vec::with_capacity(32)));
         let qa = pool_i16::alloc_zeroed(48);
-        let kb = pool_u16::alloc_for_extend(30);
         assert_eq!(qa, vec![0i16; 48]);
-        assert!(kb.is_empty() && kb.capacity() >= 30);
         let stats = pool_stats();
-        assert_eq!(stats.reused, 2);
-        assert_eq!(stats.reused_bytes, 2 * 48 + 2 * 30);
+        assert_eq!(stats.reused, 1);
+        assert_eq!(stats.reused_bytes, 2 * 48);
         // f32 list is untouched: an f32 request still falls through fresh.
         let f = alloc_zeroed(16);
         assert_eq!(f, vec![0.0; 16]);

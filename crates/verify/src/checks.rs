@@ -539,8 +539,8 @@ pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> 
     diags
 }
 
-/// Analysis 6 — record dtype soundness over the version-3 checkpoint formats: every
-/// quantized or bf16 record must be *internally* consistent before anything
+/// Analysis 6 — record dtype soundness over the version-3 checkpoint format: every
+/// quantized record must be *internally* consistent before anything
 /// dequantizes through it. The byte reader already cross-checks the redundant payload
 /// length against dtype × dims, but a checkpoint assembled (or mutated) in memory
 /// never went through the reader — and scale *values* are data the reader does not
@@ -549,75 +549,62 @@ pub fn verify_bindings(graph: &Graph, tensors: &HashMap<String, Vec<usize>>) -> 
 /// - int8 records must be rank-2 with a reduction depth the i32 accumulator covers
 ///   (`k <= rita_tensor::MAX_QUANT_K`), carry exactly `k * n` payload bytes, and one
 ///   finite, strictly positive scale per output column — a NaN, infinite, zero, or
-///   negative scale poisons or sign-flips an entire column on dequantization;
-/// - bf16 records must carry exactly one `u16` word per logical element.
+///   negative scale poisons or sign-flips an entire column on dequantization.
 ///
 /// f32 records have no side metadata to disagree with and are vacuously sound.
 pub fn verify_records(ckpt: &Checkpoint) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (path, rec) in &ckpt.tensors {
-        match rec {
-            TensorRecord::F32(_) => {}
-            TensorRecord::Int8 { shape, data, scales } => {
-                if shape.len() != 2 {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::UnquantizableShape {
-                            shape: shape.clone(),
-                            detail: format!("rank {} but the int8 engine is rank-2", shape.len()),
-                        },
-                    ));
-                    continue;
-                }
-                let (k, n) = (shape[0], shape[1]);
-                if k > rita_tensor::MAX_QUANT_K {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::UnquantizableShape {
-                            shape: shape.clone(),
-                            detail: format!(
-                                "reduction depth {k} exceeds the i32-exact bound {}",
-                                rita_tensor::MAX_QUANT_K
-                            ),
-                        },
-                    ));
-                }
-                if data.len() != k * n {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::PayloadMismatch { elements: data.len(), expected: k * n },
-                    ));
-                }
-                if scales.len() != n {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::ScaleCountMismatch { scales: scales.len(), columns: n },
-                    ));
-                }
-                if let Some((column, &s)) =
-                    scales.iter().enumerate().find(|(_, s)| !s.is_finite() || **s <= 0.0)
-                {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::BadScale { column, value: format!("{s}") },
-                    ));
-                }
-            }
-            TensorRecord::Bf16 { shape, data } => {
-                let numel: usize = shape.iter().product();
-                if data.len() != numel {
-                    diags.push(Diagnostic::error(
-                        Analysis::Dtype,
-                        path.clone(),
-                        VerifyError::PayloadMismatch { elements: data.len(), expected: numel },
-                    ));
-                }
-            }
+        let TensorRecord::Int8 { shape, data, scales } = rec else {
+            continue;
+        };
+        if shape.len() != 2 {
+            diags.push(Diagnostic::error(
+                Analysis::Dtype,
+                path.clone(),
+                VerifyError::UnquantizableShape {
+                    shape: shape.clone(),
+                    detail: format!("rank {} but the int8 engine is rank-2", shape.len()),
+                },
+            ));
+            continue;
+        }
+        let (k, n) = (shape[0], shape[1]);
+        if k > rita_tensor::MAX_QUANT_K {
+            diags.push(Diagnostic::error(
+                Analysis::Dtype,
+                path.clone(),
+                VerifyError::UnquantizableShape {
+                    shape: shape.clone(),
+                    detail: format!(
+                        "reduction depth {k} exceeds the i32-exact bound {}",
+                        rita_tensor::MAX_QUANT_K
+                    ),
+                },
+            ));
+        }
+        if data.len() != k * n {
+            diags.push(Diagnostic::error(
+                Analysis::Dtype,
+                path.clone(),
+                VerifyError::PayloadMismatch { elements: data.len(), expected: k * n },
+            ));
+        }
+        if scales.len() != n {
+            diags.push(Diagnostic::error(
+                Analysis::Dtype,
+                path.clone(),
+                VerifyError::ScaleCountMismatch { scales: scales.len(), columns: n },
+            ));
+        }
+        if let Some((column, &s)) =
+            scales.iter().enumerate().find(|(_, s)| !s.is_finite() || **s <= 0.0)
+        {
+            diags.push(Diagnostic::error(
+                Analysis::Dtype,
+                path.clone(),
+                VerifyError::BadScale { column, value: format!("{s}") },
+            ));
         }
     }
     diags

@@ -261,40 +261,24 @@ impl Corruption {
                     .tensors
                     .iter()
                     .enumerate()
-                    .filter(|(_, (_, rec))| !matches!(rec, TensorRecord::F32(_)))
+                    .filter(|(_, (_, rec))| matches!(rec, TensorRecord::Int8 { .. }))
                     .map(|(i, _)| i)
                     .collect();
                 if candidates.is_empty() {
                     return false;
                 }
                 let t = candidates[site % candidates.len()];
-                match &mut ckpt.tensors[t].1 {
-                    TensorRecord::Int8 { shape, data, scales } => match site % 3 {
-                        0 => {
-                            data.pop();
-                        }
-                        1 => {
-                            scales.push(1.0);
-                        }
-                        _ => {
-                            shape.push(1);
-                        }
-                    },
-                    TensorRecord::Bf16 { shape, data } => match site % 2 {
-                        0 => {
-                            data.pop();
-                        }
-                        _ => {
-                            if shape.is_empty() {
-                                shape.push(2);
-                            } else {
-                                shape[0] += 1;
-                            }
-                        }
-                    },
-                    TensorRecord::F32(_) => {
-                        unreachable!("candidate filter excludes f32 records")
+                let TensorRecord::Int8 { shape, data, scales } = &mut ckpt.tensors[t].1 else {
+                    unreachable!("candidate filter admits only int8 records");
+                };
+                match site % 3 {
+                    0 => {
+                        data.pop();
                     }
+                    1 => {
+                        scales.push(1.0);
+                    }
+                    _ => shape.push(1),
                 }
                 true
             }

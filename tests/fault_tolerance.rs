@@ -288,6 +288,30 @@ fn corrupt_publish_is_rejected_and_traffic_stays_on_last_good() {
     server.shutdown();
 }
 
+/// A quantized checkpoint whose int8 records were damaged in memory (never through
+/// the byte reader) must fail publish with a typed error, not panic while its panels
+/// are packed: each of `rita_verify`'s three dtype edits — a truncated code payload,
+/// an extra scale, a rank pushed past 2 — is refused and traffic stays put.
+#[test]
+fn malformed_int8_records_are_refused_at_publish() {
+    let _guard = chaos::inject(ChaosConfig::default());
+    let registry = ModelRegistry::new();
+    registry.publish(&checkpoint(7)).unwrap();
+    let quantized = checkpoint(13).quantize();
+    for site in 0..3 {
+        let mut damaged = quantized.clone();
+        assert!(rita::verify::Corruption::DtypeMismatch.apply_to_checkpoint(&mut damaged, site));
+        let err = registry.publish(&damaged).unwrap_err();
+        assert!(
+            matches!(err, PublishError::Checkpoint(CheckpointError::Corrupted(_))),
+            "dtype edit {site} must be a corrupted checkpoint, got {err}"
+        );
+        assert_eq!(registry.current_version(), Some(1), "failed publish must not move traffic");
+    }
+    assert_eq!(registry.versions(), vec![1]);
+    assert_eq!(registry.publish(&quantized).unwrap(), 2, "the undamaged twin still publishes");
+}
+
 /// Non-finite logits quarantine the serving version and roll traffic back to the
 /// exact pinned last-good checkpoint, automatically.
 #[test]

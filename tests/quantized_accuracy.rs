@@ -10,8 +10,8 @@
 //! - imputation: quantized masked-reconstruction MSE within 2% of f32;
 //! - forecasting: quantized horizon MSE within 2% of f32;
 //!
-//! plus the serving smoke: a batch served under `Precision::Int8` answers with finite
-//! logits and reports its precision in the metrics.
+//! plus the serving smoke: a batch served from an offline-quantized checkpoint answers
+//! with finite logits and reports its precision in the metrics.
 //!
 //! Every model is trained tiny-but-really (same shapes as `tests/end_to_end.rs`), then
 //! quantized offline via `Checkpoint::quantize` — the exact pipeline a deployment runs.
@@ -141,16 +141,16 @@ fn quantized_imputation_and_forecast_mse_within_two_percent() {
     );
 }
 
-/// The serving half of the gate: a batch served under `Precision::Int8` (forced at
-/// publish over an f32 checkpoint) comes back with finite logits, and the metrics
-/// name the version's precision.
+/// The serving half of the gate: a batch served from the offline-quantized checkpoint
+/// (`Checkpoint::quantize`, then `publish`) comes back with finite logits, and the
+/// metrics name the version's precision.
 #[test]
 fn one_batch_serves_under_int8_precision() {
     let mut r = rng(42);
     let clf = Classifier::new(config(), 5, &mut r);
     let ckpt = Checkpoint::of_classifier(&clf, None);
     let registry = Arc::new(ModelRegistry::new());
-    registry.publish_with(&ckpt, Precision::Int8).unwrap();
+    registry.publish(&ckpt.quantize()).unwrap();
     assert_eq!(registry.current().unwrap().model.precision(), Precision::Int8);
 
     let server = Server::start(

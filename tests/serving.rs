@@ -261,21 +261,20 @@ fn hot_swap_is_atomic_and_rollback_restores_old_answers() {
 }
 
 /// The mixed-precision rollout, observed from the serving tier: an f32 version and
-/// its int8 canary serve side by side, [`Server::publish`] honours the config's
-/// precision override, and the metrics JSON names each served version's precision.
+/// its int8 canary (the offline-quantized twin) serve side by side, and the metrics
+/// JSON names each served version's precision.
 #[test]
 fn mixed_precision_rollout_is_observable_in_metrics() {
     let ckpt = checkpoint(61);
     let registry = Arc::new(ModelRegistry::new());
     registry.publish(&ckpt).unwrap();
-    let config = ServerConfig { precision: Some(Precision::Int8), ..fast_config(1) };
-    let server = Server::start(Arc::clone(&registry), config);
+    let server = Server::start(Arc::clone(&registry), fast_config(1));
     let requests = mixed_requests(62, &[40, 64]);
     assert_eq!(server.classify("mixed", requests[0].clone()).unwrap().model_version, 1);
 
-    // Roll out the canary through the server: the config forces Int8, so the same
-    // f32 checkpoint publishes with its eligible weights quantized at load.
-    let v2 = server.publish(&ckpt).unwrap();
+    // Roll out the canary through the server's registry: the quantized checkpoint's
+    // int8 records bind as packed panels.
+    let v2 = server.registry().publish(&ckpt.quantize()).unwrap();
     assert_eq!(registry.get(v2).unwrap().model.precision(), Precision::Int8);
     assert!(registry.get(v2).unwrap().model.quantized_params() > 0);
     let mut served_v2 = false;
